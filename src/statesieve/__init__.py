@@ -6,10 +6,10 @@ from .linalg import (DEFAULT_TOL, EigenbasisError, LinearDependenceError,
 from .partitions import (Partition, is_atomic, meet, meet_all,
                          partition_from_projector, refines)
 from .systems import (ColumnCode, MinimalityReport, PropositionSystem,
-                      RequirementReport, ResourceLimitError, certify_system,
-                      column_codes, enumerate_systems, minimality_certificate,
-                      permute_system, separates, standard_diagonals,
-                      standard_system, system_from_diagonals,
+                      RequirementReport, ResourceLimitError, answer_codes,
+                      certify_system, column_codes, enumerate_systems,
+                      minimality_certificate, permute_system, separates,
+                      standard_diagonals, standard_system, system_from_diagonals,
                       system_partitions, verify_requirements)
 from .bases import (Basis, NamedUnitary, basis_from_unitary, combo_label,
                     equal_weight_basis, equal_weight_unitary, ghz_basis,

@@ -15,12 +15,13 @@ import sys
 from typing import Any, Sequence
 
 from . import jsonio
-from .bases import BASIS_KEYS, Basis, named_basis, standard_basis
+from .bases import (BASIS_KEYS, Basis, NamedUnitary, named_basis, standard_basis,
+                    transformed_system)
 from .linalg import DEFAULT_TOL, EigenbasisError, is_unitary
 from .partitions import is_atomic, meet_all
-from .paulis import cereceda_system, sigma_product_proposition
+from .paulis import CERECEDA_AXES, cereceda_system, sigma_product_proposition
 from .sieve import measure_state, question_count_stats, route_basis_state, sample_detections
-from .systems import (PropositionSystem, certify_system,
+from .systems import (PropositionSystem, answer_codes, certify_system,
                       enumerate_systems, minimality_certificate,
                       permute_system, separates, standard_system,
                       system_partitions, verify_requirements)
@@ -51,16 +52,15 @@ def _parse_perm(text: str) -> list[int]:
     return [t - 1 for t in targets]  # CLI positions are 1-based
 
 
-def _build_system(args, tol: float) -> tuple[PropositionSystem, Basis]:
-    """Diagonal (optionally permuted) system conjugated into the chosen basis."""
+def _build_system(args, tol: float) -> tuple[PropositionSystem, Basis, NamedUnitary | None]:
+    """Diagonal (optionally permuted) system in the chosen basis, the basis, its unitary."""
     basis, unitary = named_basis(args.basis, args.n, tol, force=args.force)
     system = standard_system(args.n, force=args.force)
     if getattr(args, "perm", None):
         system = permute_system(system, _parse_perm(args.perm), tol)
     if unitary is not None:
-        from .bases import transformed_system
         system = transformed_system(unitary, system, tol)
-    return system, basis
+    return system, basis, unitary
 
 
 def _fmt_complex(z: complex) -> str:
@@ -106,7 +106,7 @@ def _emit(args, payload: Any) -> None:
 
 def _cmd_build(args) -> int:
     tol = _resolve_tol(args)
-    system, _ = _build_system(args, tol)
+    system, _, _ = _build_system(args, tol)
     payload = jsonio.system_to_json(system)
     payload["basis"] = args.basis
     _emit(args, payload)
@@ -121,8 +121,7 @@ def _cmd_verify(args) -> int:
         basis = standard_basis(system.n)
         unitary = None
     else:
-        system, basis = _build_system(args, tol)
-        _, unitary = named_basis(args.basis, args.n, tol, force=args.force)
+        system, basis, unitary = _build_system(args, tol)
 
     failures = list(certify_system(system, tol))
     if unitary is not None and not is_unitary(unitary.matrix, tol):
@@ -150,8 +149,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_transform(args) -> int:
     tol = _resolve_tol(args)
-    system, basis = _build_system(args, tol)
-    _, unitary = named_basis(args.basis, args.n, tol, force=args.force)
+    system, basis, unitary = _build_system(args, tol)
     wanted = [w.strip() for w in args.emit.split(",") if w.strip()]
     known = {"projectors", "partitions", "codes", "basis", "unitary", "meet"}
     unknown = set(wanted) - known
@@ -169,9 +167,8 @@ def _cmd_transform(args) -> int:
             payload["meet"] = jsonio.partition_to_json(m)
             payload["atomic"] = is_atomic(m)
     if "codes" in wanted:
-        payload["codes"] = [
-            {"state": k, "bits": list(route_basis_state(system, basis, k, tol).answer_bits)}
-            for k in range(1, basis.size + 1)]
+        payload["codes"] = [{"state": k, "bits": bits} for k, bits in
+                            enumerate(answer_codes(system, basis, tol).tolist(), start=1)]
     if "basis" in wanted:
         payload["basis_states"] = jsonio.basis_to_json(basis)
     if "unitary" in wanted:
@@ -197,7 +194,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_partition(args) -> int:
     tol = _resolve_tol(args)
-    system, basis = _build_system(args, tol)
+    system, basis, _ = _build_system(args, tol)
     parts = system_partitions(system, basis, tol)
     m = meet_all(parts)
     payload = {
@@ -213,7 +210,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_simulate(args) -> int:
     tol = _resolve_tol(args)
-    system, basis = _build_system(args, tol)
+    system, basis, _ = _build_system(args, tol)
     if (args.index is None) == (args.state is None):
         raise ValueError("simulate needs exactly one of --index or --state")
     if args.index is not None:
@@ -249,7 +246,7 @@ def _cmd_pauli(args) -> int:
     if args.cereceda:
         system = cereceda_system()
         payload = jsonio.system_to_json(system)
-        payload["axes"] = list(args.cereceda_axes)
+        payload["axes"] = list(CERECEDA_AXES)
         failures = certify_system(system, tol)
         payload["certified"] = not failures
         _emit(args, payload)
@@ -339,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axes", help="one of x/y/z per particle, e.g. xyy")
     p.add_argument("--cereceda", action="store_true",
                    help="emit the permuted xyy/yxy/yyx triple")
-    p.set_defaults(func=_cmd_pauli, cereceda_axes=("xyy", "yxy", "yyx"))
+    p.set_defaults(func=_cmd_pauli)
 
     p = sub.add_parser("minimality", parents=[common],
                        help="why n-1 propositions cannot separate 2^n states")

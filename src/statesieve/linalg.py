@@ -121,25 +121,38 @@ def conjugate(u, p, tol: float = DEFAULT_TOL) -> np.ndarray:
     return u @ p @ dagger(u)
 
 
+def eigenvalue_bits(p: np.ndarray, vectors: np.ndarray, tol: float = DEFAULT_TOL,
+                    projector_index: int | None = None,
+                    first_vector_index: int | None = 1) -> np.ndarray:
+    """0/1 eigenvalues of projector p on the normalized rows of `vectors`.
+
+    Rounds each Rayleigh quotient <v|P|v> to {0, 1}.  The first quotient
+    farther than tol from both raises EigenbasisError, which names row k
+    (0-based) as vector first_vector_index + k, or no vector for None.
+    """
+    v = np.asarray(vectors)
+    q = np.real(np.einsum("kd,kd->k", np.conj(v), v @ np.asarray(p).T))
+    zeros = np.abs(q) <= tol
+    ones = ~zeros & (np.abs(q - 1.0) <= tol)
+    bad = np.flatnonzero(~(zeros | ones))
+    if bad.size:
+        k = int(bad[0])
+        vector_index = None if first_vector_index is None else first_vector_index + k
+        names = [f"{what} {index}" for what, index in
+                 (("projector", projector_index), ("vector", vector_index))
+                 if index is not None]
+        where = f" ({', '.join(names)})" if names else ""
+        raise EigenbasisError(
+            f"vector is not a 0/1 eigenvector: Rayleigh quotient {q[k]:.6g}{where}",
+            projector_index=projector_index, vector_index=vector_index)
+    return ones.astype(int)
+
+
 def eigenvalue_bit(p: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL,
                    projector_index: int | None = None,
                    vector_index: int | None = None) -> int:
-    """0/1 eigenvalue of projector p on normalized eigenvector v.
-
-    Uses the Rayleigh quotient <v|P|v> rounded to {0, 1}; raises
-    EigenbasisError if the quotient is farther than tol from both.
-    """
-    q = float(np.real(np.vdot(v, p @ v)))
-    if abs(q) <= tol:
-        return 0
-    if abs(q - 1.0) <= tol:
-        return 1
-    where = ""
-    if projector_index is not None or vector_index is not None:
-        where = f" (projector {projector_index}, vector {vector_index})"
-    raise EigenbasisError(
-        f"vector is not a 0/1 eigenvector: Rayleigh quotient {q:.6g}{where}",
-        projector_index=projector_index, vector_index=vector_index)
+    """0/1 eigenvalue of projector p on normalized eigenvector v (see eigenvalue_bits)."""
+    return int(eigenvalue_bits(p, [v], tol, projector_index, vector_index)[0])
 
 
 def gram_schmidt(vectors: Sequence[np.ndarray],

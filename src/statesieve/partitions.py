@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .linalg import DEFAULT_TOL, as_matrix, eigenvalue_bit
+from .linalg import DEFAULT_TOL, as_matrix, eigenvalue_bits
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -51,6 +51,12 @@ class Partition:
     def __len__(self) -> int:
         return len(self.blocks)
 
+    @classmethod
+    def from_bits(cls, bits) -> "Partition":
+        """Blocks of the 1-based positions with bit 1 and with bit 0, empty ones omitted."""
+        blocks = [tuple(k for k, b in enumerate(bits, start=1) if b == bit) for bit in (1, 0)]
+        return cls(len(bits), tuple(b for b in blocks if b))
+
 
 def partition_from_projector(p, basis: "Basis",
                              tol: float = DEFAULT_TOL) -> Partition:
@@ -62,15 +68,9 @@ def partition_from_projector(p, basis: "Basis",
     EigenbasisError.
     """
     p = as_matrix(p)
-    n_vecs = basis.size
     if p.shape[0] != basis.dim:
         raise ValueError(f"dimension mismatch: projector {p.shape[0]}, basis {basis.dim}")
-    ones, zeros = [], []
-    for k in range(n_vecs):
-        bit = eigenvalue_bit(p, basis.vectors[k], tol, vector_index=k + 1)
-        (ones if bit else zeros).append(k + 1)
-    blocks = [b for b in (ones, zeros) if b]
-    return Partition(n_vecs, tuple(tuple(b) for b in blocks))
+    return Partition.from_bits(eigenvalue_bits(p, basis.vectors, tol))
 
 
 def meet(a: Partition, b: Partition) -> Partition:

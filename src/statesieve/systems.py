@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, commutator_norm, eigenvalue_bit, is_projector, max_abs
-from .partitions import Partition, is_atomic, meet, meet_all, partition_from_projector
+from .linalg import DEFAULT_TOL, commutator_norm, eigenvalue_bits, is_projector, max_abs
+from .partitions import Partition
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -147,6 +147,15 @@ def standard_system(n: int, force: bool = False) -> PropositionSystem:
     return system_from_diagonals(standard_diagonals(n, force))
 
 
+def _noncommuting_pairs(system: PropositionSystem,
+                        tol: float) -> Iterator[tuple[int, int, float]]:
+    """(i, j, commutator norm) for each 1-based pair i < j that fails to commute."""
+    for i, j in itertools.combinations(range(system.size), 2):
+        c = commutator_norm(system.projectors[i], system.projectors[j])
+        if c > tol:
+            yield i + 1, j + 1, c
+
+
 def certify_system(system: PropositionSystem,
                    tol: float = DEFAULT_TOL) -> list[str]:
     """Check projector property, pairwise commutation, and trace = N/2.
@@ -161,40 +170,43 @@ def certify_system(system: PropositionSystem,
         trace = complex(np.trace(p))
         if abs(trace - half) > tol:
             failures.append(f"projector {i} has trace {trace:.6g}, expected {half}")
-    for i, j in itertools.combinations(range(system.size), 2):
-        c = commutator_norm(system.projectors[i], system.projectors[j])
-        if c > tol:
-            failures.append(
-                f"projectors {i + 1} and {j + 1} do not commute (norm {c:.3e})")
+    failures.extend(f"projectors {i} and {j} do not commute (norm {c:.3e})"
+                    for i, j, c in _noncommuting_pairs(system, tol))
     return failures
+
+
+def answer_codes(system: PropositionSystem, basis: "Basis",
+                 tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The (N, n) 0/1 answer-code matrix: row k holds the eigenvalues of the
+    projectors on basis vector k + 1.  A basis vector that is not a common
+    eigenvector raises EigenbasisError naming the projector and the vector.
+    """
+    if system.dim != basis.dim:
+        raise ValueError(
+            f"dimension mismatch: system {system.dim}, basis {basis.dim}")
+    codes = np.zeros((basis.size, system.size), dtype=int)
+    for i, p in enumerate(system.projectors):
+        codes[:, i] = eigenvalue_bits(p, basis.vectors, tol, projector_index=i + 1)
+    return codes
 
 
 def system_partitions(system: PropositionSystem, basis: "Basis",
                       tol: float = DEFAULT_TOL) -> list[Partition]:
-    if system.dim != basis.dim:
-        raise ValueError(
-            f"dimension mismatch: system {system.dim}, basis {basis.dim}")
-    return [partition_from_projector(p, basis, tol) for p in system.projectors]
+    return [Partition.from_bits(column) for column in answer_codes(system, basis, tol).T]
 
 
 def verify_requirements(system: PropositionSystem, basis: "Basis",
                         tol: float = DEFAULT_TOL) -> RequirementReport:
     """Verify the three defining requirements against a basis."""
-    failures = []
+    failures = [f"(i) projectors {i},{j} do not commute (norm {c:.3e})"
+                for i, j, c in _noncommuting_pairs(system, tol)]
+    co_measurable = not failures
 
-    co_measurable = True
-    for i, j in itertools.combinations(range(system.size), 2):
-        c = commutator_norm(system.projectors[i], system.projectors[j])
-        if c > tol:
-            co_measurable = False
-            failures.append(
-                f"(i) projectors {i + 1},{j + 1} do not commute (norm {c:.3e})")
-
-    parts = system_partitions(system, basis, tol)
+    codes = answer_codes(system, basis, tol)
     half = basis.size // 2
     balanced = True
-    for i, part in enumerate(parts, start=1):
-        sizes = sorted(len(b) for b in part.blocks)
+    for i, column in enumerate(codes.T, start=1):
+        sizes = sorted(int(c) for c in np.bincount(column) if c)
         if sizes != [half, half]:
             balanced = False
             failures.append(f"(ii) projector {i} splits sizes {sizes}, "
@@ -202,8 +214,8 @@ def verify_requirements(system: PropositionSystem, basis: "Basis",
 
     quarter = basis.size // 4
     refining = True
-    for i, j in itertools.combinations(range(len(parts)), 2):
-        sizes = sorted(len(b) for b in meet(parts[i], parts[j]).blocks)
+    for i, j in itertools.combinations(range(system.size), 2):
+        sizes = sorted(int(c) for c in np.bincount(2 * codes[:, i] + codes[:, j]) if c)
         if any(s != quarter for s in sizes):
             refining = False
             failures.append(f"(iii) propositions {i + 1},{j + 1} meet has "
@@ -269,12 +281,12 @@ def enumerate_systems(n: int, limit: int | None = None,
     enumeration is refused for n > 3 unless force is given; any n up to
     the dimension guard is allowed with an explicit limit.
     """
-    dim = _check_n(n, force=False)
+    dim = _check_n(n, force)
     if limit is None and n > FULL_ENUM_MAX_N and not force:
         raise ResourceLimitError(
             f"full enumeration for n = {n} means {dim}! systems; "
             "pass a limit or force")
-    std = standard_diagonals(n)
+    std = standard_diagonals(n, force)
     count = 0
     for perm in itertools.permutations(range(dim)):
         if limit is not None and count >= limit:
@@ -293,43 +305,27 @@ def separates(system: PropositionSystem, basis: "Basis",
     a vector that is not raises EigenbasisError (that situation is a
     usage error, not a 'no').
     """
-    if system.dim != basis.dim:
-        raise ValueError(
-            f"dimension mismatch: system {system.dim}, basis {basis.dim}")
-    codes = set()
-    for k in range(basis.size):
-        bits = tuple(
-            eigenvalue_bit(p, basis.vectors[k], tol,
-                           projector_index=i + 1, vector_index=k + 1)
-            for i, p in enumerate(system.projectors))
-        codes.add(bits)
-    return len(codes) == basis.size
+    return _rows_distinct(answer_codes(system, basis, tol))
 
 
-def _diagonal_subset_separates(diag_masks: tuple[int, ...], dim: int) -> bool:
-    """Do the 0/1 diagonals (as bitmasks over positions) give distinct codes?"""
-    codes = set()
-    for k in range(dim):
-        codes.add(tuple((mask >> k) & 1 for mask in diag_masks))
-    return len(codes) == dim
+def _rows_distinct(codes) -> bool:
+    """True iff no two positions share a code row: the propositions separate them."""
+    return len(set(map(tuple, np.asarray(codes).tolist()))) == len(codes)
 
 
 def minimality_certificate(n: int) -> MinimalityReport:
     """Certify that fewer than n binary propositions cannot separate 2^n states."""
     dim = _check_n(n)
     max_classes = 2 ** (n - 1)
-    report = MinimalityReport(
-        n=n, num_states=dim, max_classes=max_classes,
-        analytic_bound_holds=max_classes < dim)
-    if n > 2:
-        return report
-    scanned = 0
-    found = False
-    for subset in itertools.combinations(range(2 ** dim), n - 1):
-        scanned += 1
-        if _diagonal_subset_separates(subset, dim):
-            found = True
-            break
+    scanned = found = None
+    if n <= 2:
+        # each subset holds n-1 diagonals as bitmasks over the positions
+        scanned, found = 0, False
+        for subset in itertools.combinations(range(2 ** dim), n - 1):
+            scanned += 1
+            if _rows_distinct([[(mask >> k) & 1 for mask in subset] for k in range(dim)]):
+                found = True
+                break
     return MinimalityReport(
         n=n, num_states=dim, max_classes=max_classes,
         analytic_bound_holds=max_classes < dim,
@@ -339,12 +335,5 @@ def minimality_certificate(n: int) -> MinimalityReport:
 def standard_subset_meets_nonatomic(n: int, basis: "Basis",
                                     tol: float = DEFAULT_TOL) -> bool:
     """True iff dropping any one standard projector leaves a non-atomic meet."""
-    system = standard_system(n)
-    parts = system_partitions(system, basis, tol)
-    if n == 1:
-        return True  # the empty subset trivially leaves one 2-element block
-    for skip in range(n):
-        sub = [parts[i] for i in range(n) if i != skip]
-        if is_atomic(meet_all(sub)):
-            return False
-    return True
+    codes = answer_codes(standard_system(n), basis, tol)
+    return not any(_rows_distinct(np.delete(codes, skip, axis=1)) for skip in range(n))

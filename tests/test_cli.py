@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from statesieve import jsonio, standard_system
+from statesieve import ghz_basis, jsonio, standard_system, systems, transformed_system
 from statesieve.cli import main
 
 
@@ -68,6 +68,17 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["failures"]
 
+    def test_non_eigenbasis_file_names_the_projector(self, capsys, tmp_path):
+        _, u = ghz_basis()
+        path = tmp_path / "ghz.json"
+        path.write_text(json.dumps(
+            jsonio.system_to_json(transformed_system(u, standard_system(3)))))
+        code, out, _ = run_cli(capsys, "verify", "--file", str(path))
+        assert code == 1
+        assert json.loads(out)["failures"] == [
+            "requirement checks aborted: vector is not a 0/1 eigenvector: "
+            "Rayleigh quotient 0.5 (projector 3, vector 1)"]
+
     def test_tol_flag_beats_environment(self, capsys, tmp_path, monkeypatch):
         slightly_off = np.diag([1.0 + 1e-6, 0.0]).astype(complex)
         path = tmp_path / "near.json"
@@ -114,6 +125,11 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--count-only")
         assert code == 3
         assert "force" in json.loads(err)["error"]["message"]
+
+    def test_force_overrides_the_dimension_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(systems, "MAX_N", 2)
+        payload = run_json(capsys, "enumerate", "--n", "3", "--limit", "1", "--force")
+        assert payload["count"] == 1 and payload["systems"][0]["n"] == 3
 
 
 class TestPartitionCommand:

@@ -72,7 +72,7 @@ class TestFromProjector:
     def test_non_eigenvector_raises(self):
         basis, _ = ghz_basis()
         # the parity projector of the *standard* system does not fix these states
-        with pytest.raises(EigenbasisError):
+        with pytest.raises(EigenbasisError, match=r"\(vector 1\)$"):
             partition_from_projector(standard_system(3).projectors[2], basis)
 
 

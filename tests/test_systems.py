@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statesieve import (EigenbasisError, PropositionSystem, ResourceLimitError,
-                        certify_system, column_codes, enumerate_systems,
-                        ghz_basis, minimality_certificate, permute_system,
-                        separates, standard_basis, standard_system,
-                        system_from_diagonals, verify_requirements)
+from statesieve import (EigenbasisError, PropositionSystem,
+                        ResourceLimitError, answer_codes, certify_system,
+                        column_codes, eigenvalue_bit, enumerate_systems,
+                        ghz_basis, minimality_certificate, named_basis,
+                        permute_system, separates, standard_basis,
+                        standard_system, system_from_diagonals,
+                        transformed_system, verify_requirements)
+from statesieve import systems
+from statesieve.bases import BASIS_KEYS
 from statesieve.systems import standard_subset_meets_nonatomic
 
 
@@ -74,6 +78,11 @@ class TestRequirements:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             verify_requirements(standard_system(2), standard_basis(3))
+
+    def test_non_eigenbasis_error_names_the_projector(self):
+        with pytest.raises(EigenbasisError, match=r"\(projector 1, vector 1\)") as err:
+            verify_requirements(standard_system(3), ghz_basis()[0])
+        assert (err.value.projector_index, err.value.vector_index) == (1, 1)
 
 
 class TestPermute:
@@ -147,6 +156,12 @@ class TestEnumerate:
         got = list(itertools.islice(enumerate_systems(4, force=True), 3))
         assert len(got) == 3 and got[0].dim == 16
 
+    def test_force_overrides_the_dimension_guard(self, monkeypatch):
+        monkeypatch.setattr(systems, "MAX_N", 2)
+        with pytest.raises(ResourceLimitError):
+            next(enumerate_systems(3, limit=1))
+        assert [s.n for s in enumerate_systems(3, limit=1, force=True)] == [3]
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_every_system_certified_and_separating(self, n):
         from statesieve import route_basis_state
@@ -195,6 +210,20 @@ class TestColumnCodes:
         _, u = ghz_basis()
         with pytest.raises(ValueError, match="diagonal"):
             column_codes(transformed_system(u, standard_system(3)))
+
+
+class TestAnswerCodes:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from(BASIS_KEYS), st.data())
+    def test_matches_scalar_eigenvalue_bit(self, n, key, data):
+        if key != "standard":
+            n = 3  # the entangled catalog bases are three-particle bases
+        basis, u = named_basis(key, n)
+        system = permute_system(standard_system(n), data.draw(permutations_of(2 ** n)))
+        if u is not None:
+            system = transformed_system(u, system)
+        want = [[eigenvalue_bit(p, v) for p in system.projectors] for v in basis.vectors]
+        assert answer_codes(system, basis).tolist() == want
 
 
 class TestSeparates:
