@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, as_matrix, conjugate, is_unitary, max_abs
-from .systems import MAX_N, PropositionSystem
+from .systems import PropositionSystem, _check_n
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -127,9 +127,7 @@ def _labels_for(vectors: np.ndarray, n: int, fallback: str) -> tuple[str, ...]:
 
 def standard_basis(n: int, force: bool = False) -> Basis:
     """The N = 2^n canonical unit vectors labeled |+..+> down to |-..->."""
-    if n < 1 or (n > MAX_N and not force):
-        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
-    dim = 2 ** n
+    dim = _check_n(n, force)
     vectors = np.eye(dim, dtype=complex)
     labels = tuple(ket_label(k, n) for k in range(dim))
     return Basis(vectors, labels)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -32,15 +33,30 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
 
+def _tolerance(text: str, source: str) -> float:
+    """Parse a tolerance, which must be a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{source} must be a finite number >= 0, got {text!r}")
+    return tol
+
+
+def _tol_arg(text: str) -> float:
+    try:
+        return _tolerance(text, "--tol")
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _resolve_tol(args) -> float:
     if args.tol is not None:
         return args.tol
     env = os.environ.get("SIEVE_TOL")
     if env:
-        try:
-            return float(env)
-        except ValueError as e:
-            raise ValueError(f"SIEVE_TOL is not a number: {env!r}") from e
+        return _tolerance(env, "SIEVE_TOL")
     return DEFAULT_TOL
 
 
@@ -101,7 +117,7 @@ def _emit(args, payload: Any) -> None:
     if args.format == "text":
         print(_render_text(payload))
     else:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _cmd_build(args) -> int:
@@ -272,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "minimal yes-no proposition systems over 2^n states.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--tol", type=float, default=None,
+    common.add_argument("--tol", type=_tol_arg, default=None,
                         help="comparison tolerance (default 1e-10 or SIEVE_TOL)")
     common.add_argument("--force", action="store_true",
                         help="override resource guards")

@@ -15,7 +15,7 @@ import numpy as np
 from .bases import Basis
 from .partitions import Partition
 from .sieve import DetectorOutcome, MeasurementDistribution, StrategyStats
-from .systems import (MinimalityReport, PropositionSystem, RequirementReport)
+from .systems import INDEX_MAX_N, MinimalityReport, PropositionSystem, RequirementReport
 
 
 def matrix_to_json(m) -> dict[str, Any]:
@@ -29,13 +29,39 @@ def matrix_to_json(m) -> dict[str, Any]:
     }
 
 
-def matrix_from_json(obj: dict[str, Any]) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    return flat.reshape(rows, cols)
+def _field(obj: Any, name: str, what: str) -> Any:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if name not in obj:
+        raise ValueError(f"{what} is missing field {name!r}")
+    return obj[name]
+
+
+def _int_field(obj: Any, name: str, what: str, high: int | None = None) -> int:
+    value = _field(obj, name, what)
+    if (isinstance(value, bool) or not isinstance(value, int) or value < 1
+            or (high is not None and value > high)):
+        limit = f" in 1..{high}" if high is not None else " >= 1"
+        raise ValueError(f"{what} field {name!r} must be an integer{limit}, got {value!r}")
+    return value
+
+
+def matrix_from_json(obj: Any) -> np.ndarray:
+    """Decode a matrix, raising ValueError that names a missing or malformed field."""
+    rows, cols = _int_field(obj, "rows", "matrix"), _int_field(obj, "cols", "matrix")
+    data = _field(obj, "data", "matrix")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        got = len(data) if isinstance(data, list) else type(data).__name__
+        raise ValueError(f"matrix field 'data': expected a list of {rows * cols} entries, got {got}")
+    try:
+        pairs = np.array(data)
+    except ValueError:  # ragged entries
+        pairs = None
+    if (pairs is None or pairs.shape != (rows * cols, 2) or pairs.dtype.kind not in "iuf"
+            or not np.isfinite(pairs).all()):
+        raise ValueError("matrix field 'data' must hold [re, im] pairs of finite numbers")
+    # viewing float pairs as complex keeps every bit, signed zeros included
+    return pairs.astype(float).view(complex).reshape(rows, cols)
 
 
 def vector_to_json(v) -> dict[str, Any]:
@@ -57,9 +83,19 @@ def system_to_json(system: PropositionSystem) -> dict[str, Any]:
             "projectors": [matrix_to_json(p) for p in system.projectors]}
 
 
-def system_from_json(obj: dict[str, Any]) -> PropositionSystem:
-    projs = tuple(matrix_from_json(p) for p in obj["projectors"])
-    return PropositionSystem(int(obj["n"]), projs)
+def system_from_json(obj: Any) -> PropositionSystem:
+    """Decode a dense system, raising ValueError that names a missing or malformed field."""
+    n = _int_field(obj, "n", "system", high=INDEX_MAX_N)
+    raw = _field(obj, "projectors", "system")
+    if not isinstance(raw, list):
+        raise ValueError(f"system field 'projectors' must be a list, got {type(raw).__name__}")
+    projs = []
+    for i, p in enumerate(raw, start=1):
+        try:
+            projs.append(matrix_from_json(p))
+        except ValueError as e:
+            raise ValueError(f"system field 'projectors' entry {i}: {e}") from None
+    return PropositionSystem(n, tuple(projs))
 
 
 def partition_to_json(p: Partition) -> dict[str, Any]:

@@ -126,12 +126,17 @@ def eigenvalue_bits(p: np.ndarray, vectors: np.ndarray, tol: float = DEFAULT_TOL
                     first_vector_index: int | None = 1) -> np.ndarray:
     """0/1 eigenvalues of projector p on the normalized rows of `vectors`.
 
+    p is a dense matrix or, for a diagonal projector, the 1-D diagonal.
     Rounds each Rayleigh quotient <v|P|v> to {0, 1}.  The first quotient
     farther than tol from both raises EigenbasisError, which names row k
     (0-based) as vector first_vector_index + k, or no vector for None.
     """
     v = np.asarray(vectors)
-    q = np.real(np.einsum("kd,kd->k", np.conj(v), v @ np.asarray(p).T))
+    p = np.asarray(p)
+    if p.ndim == 1:
+        q = np.abs(v) ** 2 @ p
+    else:
+        q = np.real(np.einsum("kd,kd->k", np.conj(v), v @ p.T))
     zeros = np.abs(q) <= tol
     ones = ~zeros & (np.abs(q - 1.0) <= tol)
     bad = np.flatnonzero(~(zeros | ones))

@@ -87,9 +87,20 @@ def route_basis_state(system: PropositionSystem, basis: "Basis", index: int,
         raise ValueError(f"index must be in 1..{basis.size}, got {index}")
     v = basis.vectors[index - 1]
     bits = tuple(
-        eigenvalue_bit(p, v, tol, projector_index=i + 1, vector_index=index)
-        for i, p in enumerate(system.projectors))
+        eigenvalue_bit(system.operator(i), v, tol, projector_index=i + 1, vector_index=index)
+        for i in range(system.size))
     return DetectorOutcome(bits, detector_for_bits(bits))
+
+
+def _as_state(system: PropositionSystem, state) -> np.ndarray:
+    """The state as a complex vector of the system's dimension with finite amplitudes."""
+    v = as_vector(state)
+    if v.shape[0] != system.dim:
+        raise ValueError(
+            f"dimension mismatch: state {v.shape[0]}, system {system.dim}")
+    if not np.isfinite(v).all():
+        raise ValueError("state has non-finite amplitudes")
+    return v
 
 
 def _cascade_weights(system: PropositionSystem, state: np.ndarray) -> np.ndarray:
@@ -100,10 +111,10 @@ def _cascade_weights(system: PropositionSystem, state: np.ndarray) -> np.ndarray
     projectors) applied to the state.
     """
     branches: list[tuple[tuple[int, ...], np.ndarray]] = [((), state)]
-    for p in system.projectors:
+    for i in range(system.size):
         nxt = []
         for bits, v in branches:
-            yes = p @ v
+            yes = system.apply(i, v)
             nxt.append((bits + (1,), yes))
             nxt.append((bits + (0,), v - yes))
         branches = nxt
@@ -121,10 +132,7 @@ def measure_state(system: PropositionSystem, state,
     through the k-th branch of commuting projectors/complements; for a
     common eigenvector this is a point mass on the routed detector.
     """
-    v = as_vector(state)
-    if v.shape[0] != system.dim:
-        raise ValueError(
-            f"dimension mismatch: state {v.shape[0]}, system {system.dim}")
+    v = _as_state(system, state)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > tol:
         raise ValueError(f"state is not normalized (norm {norm:.6g})")
@@ -144,10 +152,7 @@ def sample_detections(system: PropositionSystem, state, trials: int,
     probability |P_i v|^2 / |v|^2 and the state collapses accordingly.
     Reproducible for a fixed seed (trial t uses generator seed seed + t).
     """
-    v = as_vector(state)
-    if v.shape[0] != system.dim:
-        raise ValueError(
-            f"dimension mismatch: state {v.shape[0]}, system {system.dim}")
+    v = _as_state(system, state)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     counts = [0] * system.dim
@@ -155,8 +160,8 @@ def sample_detections(system: PropositionSystem, state, trials: int,
         rng = np.random.default_rng(seed + t)
         w = v
         bits = []
-        for p in system.projectors:
-            yes = p @ w
+        for i in range(system.size):
+            yes = system.apply(i, w)
             p_yes = float(np.real(np.vdot(yes, yes)) / np.real(np.vdot(w, w)))
             if rng.random() < p_yes:
                 bits.append(1)

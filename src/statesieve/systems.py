@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     from .bases import Basis
 
 MAX_N = 10          # dense 2^n x 2^n matrices stay cheap up to here
+INDEX_MAX_N = 62    # 2^n positions fit a 64-bit numpy index up to here, force or not
 FULL_ENUM_MAX_N = 3  # 8! = 40320 streams fine; 16! does not
 
 
@@ -29,21 +30,35 @@ class ResourceLimitError(ValueError):
     """A size guard tripped; pass force=True (CLI: --force) to override."""
 
 
-@dataclass(frozen=True, eq=False)
 class PropositionSystem:
-    """Ordered list of n commuting projectors on a 2^n-dimensional space."""
+    """Ordered list of n commuting projectors on a 2^n-dimensional space.
 
-    n: int
-    projectors: tuple[np.ndarray, ...]
+    `PropositionSystem(n, projectors)` holds dense matrices.  A system built
+    by `system_from_diagonals` (so every standard, permuted and enumerated
+    system) keeps its (n, N) 0/1 `diagonals` instead and builds the dense
+    `projectors` only when something asks for them.  `diagonals` is None
+    for a dense system.
+    """
 
-    def __post_init__(self):
-        projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
-        dim = 2 ** self.n
+    __slots__ = ("n", "diagonals", "_projectors")
+
+    def __init__(self, n: int, projectors: Sequence[np.ndarray]):
+        projs = tuple(np.asarray(p, dtype=complex) for p in projectors)
+        dim = 2 ** n
         for i, p in enumerate(projs):
             if p.shape != (dim, dim):
                 raise ValueError(
                     f"projector {i + 1} has shape {p.shape}, expected {(dim, dim)}")
-        object.__setattr__(self, "projectors", projs)
+        self.n = n
+        self.diagonals: np.ndarray | None = None
+        self._projectors: tuple[np.ndarray, ...] | None = projs
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """The dense complex N x N matrices, built once from the diagonals if needed."""
+        if self._projectors is None:
+            self._projectors = tuple(np.diag(row.astype(complex)) for row in self.diagonals)
+        return self._projectors
 
     @property
     def dim(self) -> int:
@@ -51,7 +66,16 @@ class PropositionSystem:
 
     @property
     def size(self) -> int:
-        return len(self.projectors)
+        return len(self.diagonals if self.diagonals is not None else self._projectors)
+
+    def operator(self, i: int) -> np.ndarray:
+        """Projector i (0-based) as stored: a 1-D 0/1 diagonal or a dense matrix."""
+        return self.diagonals[i] if self.diagonals is not None else self.projectors[i]
+
+    def apply(self, i: int, v: np.ndarray) -> np.ndarray:
+        """Projector i (0-based) applied to v: d * v or P @ v."""
+        p = self.operator(i)
+        return p * v if p.ndim == 1 else p @ v
 
 
 @dataclass(frozen=True)
@@ -114,8 +138,12 @@ class MinimalityReport:
 
 
 def _check_n(n: int, force: bool = False) -> int:
+    """N = 2^n after the one size guard: n > MAX_N needs force, and no
+    force lifts n past INDEX_MAX_N."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n > INDEX_MAX_N:
+        raise ValueError(f"n = {n} is too large: 2^n positions do not fit a 64-bit index")
     if n > MAX_N and not force:
         raise ResourceLimitError(
             f"n = {n} exceeds the guard {MAX_N}; override with force")
@@ -136,10 +164,23 @@ def standard_diagonals(n: int, force: bool = False) -> np.ndarray:
 
 
 def system_from_diagonals(diagonals: np.ndarray) -> PropositionSystem:
-    diagonals = np.asarray(diagonals)
-    n = int(np.log2(diagonals.shape[1]))
-    return PropositionSystem(
-        n, tuple(np.diag(row.astype(complex)) for row in diagonals))
+    """The system whose projectors are diagonal with the 0/1 rows of `diagonals`.
+
+    It stores a read-only integer copy of the rows; the dense projectors are
+    built only on first access to `projectors`.
+    """
+    d = np.asarray(diagonals)
+    dim = d.shape[-1] if d.ndim == 2 else 0
+    n = dim.bit_length() - 1
+    if n < 1 or dim != 2 ** n:
+        raise ValueError(f"diagonals must be an array of shape (k, 2^n), got {d.shape}")
+    if not np.all((d == 0) | (d == 1)):
+        raise ValueError("diagonals must hold only 0 and 1")
+    system = PropositionSystem.__new__(PropositionSystem)
+    system.n, system._projectors = n, None
+    system.diagonals = d.astype(int)
+    system.diagonals.flags.writeable = False
+    return system
 
 
 def standard_system(n: int, force: bool = False) -> PropositionSystem:
@@ -150,6 +191,8 @@ def standard_system(n: int, force: bool = False) -> PropositionSystem:
 def _noncommuting_pairs(system: PropositionSystem,
                         tol: float) -> Iterator[tuple[int, int, float]]:
     """(i, j, commutator norm) for each 1-based pair i < j that fails to commute."""
+    if system.diagonals is not None:
+        return  # diagonal matrices commute exactly
     for i, j in itertools.combinations(range(system.size), 2):
         c = commutator_norm(system.projectors[i], system.projectors[j])
         if c > tol:
@@ -164,10 +207,11 @@ def certify_system(system: PropositionSystem,
     """
     failures = []
     half = system.dim / 2
-    for i, p in enumerate(system.projectors, start=1):
-        if not is_projector(p, tol):
+    for i in range(1, system.size + 1):
+        p = system.operator(i - 1)
+        if p.ndim == 2 and not is_projector(p, tol):  # a 0/1 diagonal always is one
             failures.append(f"projector {i} is not a projector within {tol}")
-        trace = complex(np.trace(p))
+        trace = complex(np.sum(p) if p.ndim == 1 else np.trace(p))
         if abs(trace - half) > tol:
             failures.append(f"projector {i} has trace {trace:.6g}, expected {half}")
     failures.extend(f"projectors {i} and {j} do not commute (norm {c:.3e})"
@@ -185,8 +229,9 @@ def answer_codes(system: PropositionSystem, basis: "Basis",
         raise ValueError(
             f"dimension mismatch: system {system.dim}, basis {basis.dim}")
     codes = np.zeros((basis.size, system.size), dtype=int)
-    for i, p in enumerate(system.projectors):
-        codes[:, i] = eigenvalue_bits(p, basis.vectors, tol, projector_index=i + 1)
+    for i in range(system.size):
+        codes[:, i] = eigenvalue_bits(system.operator(i), basis.vectors, tol,
+                                      projector_index=i + 1)
     return codes
 
 
@@ -225,7 +270,10 @@ def verify_requirements(system: PropositionSystem, basis: "Basis",
 
 
 def _diagonals_of(system: PropositionSystem, tol: float) -> np.ndarray:
-    """Extract 0/1 diagonals, rejecting non-diagonal or non-0/1 projectors."""
+    """The 0/1 diagonals: stored ones as they are, dense ones extracted after
+    rejecting non-diagonal or non-0/1 projectors."""
+    if system.diagonals is not None:
+        return system.diagonals
     rows = []
     for i, p in enumerate(system.projectors, start=1):
         off = p - np.diag(np.diag(p))

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from statesieve import (Basis, certify_system, equal_weight_basis, ghz_basis,
-                        gram_schmidt, is_projector, is_unitary, named_basis,
+from statesieve import (Basis, ResourceLimitError, certify_system, equal_weight_basis,
+                        ghz_basis, gram_schmidt, is_projector, is_unitary, named_basis,
                         route_basis_state, separates, standard_basis,
-                        standard_system, transformed_system, w_basis)
+                        standard_system, systems, transformed_system, w_basis)
 from statesieve.bases import combo_label, ket_label
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -67,6 +67,15 @@ class TestStandardBasis:
     def test_range_guard(self, bad):
         with pytest.raises(ValueError):
             standard_basis(bad)
+
+    def test_shares_the_system_size_guard(self, monkeypatch):
+        monkeypatch.setattr(systems, "MAX_N", 2)
+        with pytest.raises(ResourceLimitError, match="force"):
+            standard_basis(3)
+        assert standard_basis(3, force=True).size == 8
+        with pytest.raises(ValueError, match="64-bit") as err:
+            standard_basis(99, force=True)
+        assert not isinstance(err.value, ResourceLimitError)
 
 
 class TestGhzBasis:

@@ -1,11 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from statesieve import ghz_basis, jsonio, standard_system, systems, transformed_system
+from statesieve import (DetectorOutcome, cli, ghz_basis, jsonio, standard_system, systems,
+                        transformed_system)
 from statesieve.cli import main
 
 
@@ -92,6 +94,33 @@ class TestVerify:
         assert code == 1  # explicit flag wins over the environment
 
 
+    @pytest.mark.parametrize("text", ["{}", '{"n": 2}', json.dumps(
+        {"n": 1, "projectors": [{"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0], [0, 0]]}]})])
+    def test_malformed_file_is_a_validation_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--file", str(path))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
+    def test_bad_tol_flag_is_a_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "2", "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
+    def test_bad_tol_environment_is_a_validation_error(self, capsys, monkeypatch, tol):
+        monkeypatch.setenv("SIEVE_TOL", tol)
+        code, out, err = run_cli(capsys, "verify", "--n", "2")
+        assert code == 3 and out == ""
+        assert "SIEVE_TOL" in json.loads(err)["error"]["message"]
+
+    def test_zero_tol_certifies_an_exact_system(self, capsys):
+        assert run_json(capsys, "verify", "--n", "2", "--tol", "0")["certified"]
+
+
 class TestTransform:
     def test_ghz_partitions_and_meet(self, capsys):
         payload = run_json(capsys, "transform", "--n", "3", "--basis", "ghz",
@@ -157,6 +186,19 @@ class TestSimulate:
                            "--sample", "25", "--seed", "3")
         assert payload["sample"]["counts"][0] == 25
         assert payload["sample"]["seed"] == 3
+
+    def test_non_finite_state_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"rows": 2, "cols": 1, "data": [[NaN, 0], [0, 0]]}')
+        code, out, err = run_cli(capsys, "simulate", "--n", "1", "--state", str(path))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_json_output_refuses_nan(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "route_basis_state", lambda *args: DetectorOutcome((1,), math.nan))
+        code, out, err = run_cli(capsys, "simulate", "--n", "1", "--index", "1")
+        assert code == 3 and out == ""
+        assert "JSON" in json.loads(err)["error"]["message"]
 
     def test_needs_exactly_one_input(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--n", "2")

@@ -1,7 +1,9 @@
-"""Every README command's stdout, compared byte for byte with a recorded file."""
+"""Every README command's stdout, and two larger diagonal-system commands,
+compared byte for byte with files recorded before the diagonal form existed."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from statesieve.cli import main
@@ -23,10 +25,19 @@ README_COMMANDS = {
     "minimality": "minimality --n 2",
 }
 
+_PERM_N8 = ",".join(str(t + 1) for t in np.random.default_rng(8).permutation(256))
 
-@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+LARGER_COMMANDS = {
+    "simulate_state_n6": f"simulate --n 6 --state {GOLDEN / 'state_n6.json'} --sample 500 --seed 11",
+    "verify_n8_perm": f"verify --n 8 --perm {_PERM_N8}",
+}
+
+COMMANDS = {**README_COMMANDS, **LARGER_COMMANDS}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_readme_command_stdout_is_unchanged(capsys, name):
-    code = main(README_COMMANDS[name].split())
+    code = main(COMMANDS[name].split())
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text()

@@ -31,6 +31,22 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="entries"):
             jsonio.matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
 
+    @pytest.mark.parametrize("obj, field", [
+        ([], "matrix must be a JSON object"),
+        ({"cols": 1, "data": [[1, 0]]}, "'rows'"),
+        ({"rows": 1, "cols": True, "data": [[1, 0]]}, "'cols'"),
+        ({"rows": -1, "cols": 1, "data": [[1, 0]]}, "'rows'"),
+        ({"rows": 1, "cols": 1}, "'data'"),
+        ({"rows": 1, "cols": 1, "data": "[[1, 0]]"}, "'data'"),
+        ({"rows": 1, "cols": 2, "data": [[1, 0], [1]]}, "'data'"),
+        ({"rows": 1, "cols": 2, "data": [[1, 0], ["1", 0]]}, "'data'"),
+        ({"rows": 1, "cols": 1, "data": [[float("nan"), 0]]}, "'data'"),
+        ({"rows": 1, "cols": 1, "data": [[10 ** 400, 0]]}, "'data'"),
+    ])
+    def test_rejects_malformed_fields_by_name(self, obj, field):
+        with pytest.raises(ValueError, match=field):
+            jsonio.matrix_from_json(obj)
+
 
 class TestVectorFormat:
     def test_vectors_are_single_column(self):
@@ -52,6 +68,20 @@ class TestStructures:
         assert back.n == 2
         for p, q in zip(system.projectors, back.projectors):
             assert p.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("obj, field", [
+        ({}, "missing field 'n'"),
+        ({"n": 2}, "missing field 'projectors'"),
+        ({"n": "2", "projectors": []}, "'n'"),
+        ({"n": 63, "projectors": []}, "'n'"),
+        ({"n": 1, "projectors": {}}, "'projectors'"),
+        ({"n": 1, "projectors": [{"rows": 2, "cols": 2, "data": [[1, 0]] * 4},
+                                 {"rows": 2, "cols": 2, "data": [[1, 0]] * 3 + [[1]]}]},
+         "'projectors' entry 2: matrix field 'data'"),
+    ])
+    def test_system_rejects_malformed_fields_by_name(self, obj, field):
+        with pytest.raises(ValueError, match=field):
+            jsonio.system_from_json(obj)
 
     def test_partition_round_trip(self):
         p = Partition(8, ((1, 4, 6, 7), (2, 3, 5, 8)))

@@ -78,6 +78,14 @@ class TestMeasure:
         with pytest.raises(ValueError, match="normalized"):
             measure_state(standard_system(2), np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        state = np.array([bad, 0, 0, 0], dtype=complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            measure_state(standard_system(2), state)
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_detections(standard_system(2), state, 10, seed=0)
+
     def test_agrees_with_routing_on_every_eigenvector(self):
         basis, u = ghz_basis()
         system = transformed_system(u, standard_system(3))
