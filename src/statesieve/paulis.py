@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import max_abs, tensor
-from .systems import MAX_N, PropositionSystem
+from .systems import PropositionSystem, _check_n
 
 PAULI_AXES = ("x", "y", "z")
 
@@ -57,8 +57,7 @@ def embed(axis: str, site: int, n: int) -> np.ndarray:
 
     Returns I_{2^(site-1)} (x) sigma_axis (x) I_{2^(n-site)}, dimension 2^n.
     """
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+    _check_n(n)
     if not 1 <= site <= n:
         raise ValueError(f"site must be in 1..{n}, got {site}")
     m = pauli(axis)
@@ -87,12 +86,11 @@ def sigma_product_proposition(assignment: str | Sequence[str]) -> np.ndarray:
     """
     axes = normalize_axes(assignment)
     n = len(axes)
-    if n > MAX_N:
-        raise ValueError(f"assignment length {n} exceeds the guard {MAX_N}")
-    product = np.eye(2 ** n, dtype=complex)
+    dim = _check_n(n)
+    product = np.eye(dim, dtype=complex)
     for site, axis in enumerate(axes, start=1):
         product = product @ embed(axis, site, n)
-    return (np.eye(2 ** n) + product) / 2.0
+    return (np.eye(dim) + product) / 2.0
 
 
 def cereceda_system() -> PropositionSystem:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .linalg import DEFAULT_TOL, as_vector, eigenvalue_bit
-from .systems import MAX_N, PropositionSystem, ResourceLimitError
+from .systems import PropositionSystem, _check_n
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -103,25 +103,23 @@ def _as_state(system: PropositionSystem, state) -> np.ndarray:
     return v
 
 
-def _cascade_weights(system: PropositionSystem, state: np.ndarray) -> np.ndarray:
-    """Leaf norms-squared of the filter cascade, indexed by detector - 1.
+def _branch_weights(system: PropositionSystem, state: np.ndarray) -> list[np.ndarray]:
+    """Squared norms of the filter cascade's branch vectors, one array per level.
 
-    Level i splits every branch vector v into P_i v and v - P_i v; after n
-    levels the leaf for answer word b carries (product of selected
-    projectors) applied to the state.
+    Level i + 1 splits branch j of level i, vector v, into P_i v (branch 2j)
+    and v - P_i v (branch 2j + 1), so after n levels the leaf of answer word
+    b sits at detector(b) - 1.  Only two levels of vectors are held at once.
     """
-    branches: list[tuple[tuple[int, ...], np.ndarray]] = [((), state)]
+    branches = [state]
+    weights = [np.array([np.real(np.vdot(state, state))])]
     for i in range(system.size):
         nxt = []
-        for bits, v in branches:
+        for v in branches:
             yes = system.apply(i, v)
-            nxt.append((bits + (1,), yes))
-            nxt.append((bits + (0,), v - yes))
+            nxt += (yes, v - yes)
         branches = nxt
-    probs = np.zeros(system.dim)
-    for bits, v in branches:
-        probs[detector_for_bits(bits) - 1] = float(np.real(np.vdot(v, v)))
-    return probs
+        weights.append(np.array([np.real(np.vdot(v, v)) for v in branches]))
+    return weights
 
 
 def measure_state(system: PropositionSystem, state,
@@ -136,7 +134,7 @@ def measure_state(system: PropositionSystem, state,
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > tol:
         raise ValueError(f"state is not normalized (norm {norm:.6g})")
-    probs = _cascade_weights(system, v)
+    probs = _branch_weights(system, v)[-1]
     total = float(probs.sum())
     if abs(total - 1.0) > max(tol, 1e-9):
         raise ValueError(
@@ -148,28 +146,22 @@ def sample_detections(system: PropositionSystem, state, trials: int,
                       seed: int, tol: float = DEFAULT_TOL) -> list[int]:
     """Monte-Carlo detector counts from sequential projective measurement.
 
-    Each trial walks the cascade: at step i the yes-branch fires with
-    probability |P_i v|^2 / |v|^2 and the state collapses accordingly.
+    Each trial walks the branch-weight tree: at step i the yes-branch fires
+    with probability |P_i v|^2 / |v|^2 and the state collapses onto it.
     Reproducible for a fixed seed (trial t uses generator seed seed + t).
     """
     v = _as_state(system, state)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    weights = _branch_weights(system, v)
     counts = [0] * system.dim
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
-        w = v
-        bits = []
+        j = 0
         for i in range(system.size):
-            yes = system.apply(i, w)
-            p_yes = float(np.real(np.vdot(yes, yes)) / np.real(np.vdot(w, w)))
-            if rng.random() < p_yes:
-                bits.append(1)
-                w = yes
-            else:
-                bits.append(0)
-                w = w - yes
-        counts[detector_for_bits(bits) - 1] += 1
+            # `not r < p` rather than `r >= p`: a NaN ratio (a zero branch) says no
+            j = 2 * j + (not rng.random() < weights[i + 1][2 * j] / weights[i][j])
+        counts[j] += 1
     return counts
 
 
@@ -206,13 +198,9 @@ def question_count_stats(n: int, trials: int, seed: int,
     on execution order across threads.  The sieve side is exact: every
     search takes n questions.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > MAX_N:
-        raise ResourceLimitError(f"n = {n} exceeds the guard {MAX_N}")
+    dim = _check_n(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dim = 2 ** n
     total = 0
     worst = 0
     for t in range(trials):

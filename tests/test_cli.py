@@ -167,6 +167,17 @@ class TestPartitionCommand:
         assert payload["atomic"] is True
         assert payload["meet"]["blocks"] == [[1], [2], [3], [4]]
 
+    @pytest.mark.parametrize("extra", [
+        *(["--basis", key] for key in ("standard", "ghz", "w", "equal_weight")),
+        ["--perm", "2,1,3,4,5,6,8,7"],
+        ["--basis", "ghz", "--format", "text"],
+        ["--perm", "8,7,6,5,4,3,2,1", "--format", "text"],
+    ])
+    def test_same_bytes_as_transform_partitions_meet(self, capsys, extra):
+        part = run_cli(capsys, "partition", "--n", "3", *extra)
+        trans = run_cli(capsys, "transform", "--n", "3", "--emit", "partitions,meet", *extra)
+        assert part[0] == 0 and part == trans
+
 
 class TestSimulate:
     def test_route_by_index(self, capsys):
@@ -199,6 +210,15 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--n", "1", "--index", "1")
         assert code == 3 and out == ""
         assert "JSON" in json.loads(err)["error"]["message"]
+
+    def test_memory_error_is_a_resource_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 TiB")
+        monkeypatch.setattr(cli, "named_basis", exhausted)
+        code, out, err = run_cli(capsys, "simulate", "--n", "20", "--force", "--index", "1")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": {"type": "MemoryError",
+                                             "message": "Unable to allocate 16.0 TiB"}}
 
     def test_needs_exactly_one_input(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--n", "2")

@@ -1,5 +1,6 @@
-"""Every README command's stdout, and two larger diagonal-system commands,
-compared byte for byte with files recorded before the diagonal form existed."""
+"""Every README command's stdout, a few larger diagonal-system commands, and
+`verify` runs whose tolerance is too tight for the basis, compared byte for
+byte with files recorded before the code paths they cover were rewritten."""
 
 from pathlib import Path
 
@@ -30,6 +31,17 @@ _PERM_N8 = ",".join(str(t + 1) for t in np.random.default_rng(8).permutation(256
 LARGER_COMMANDS = {
     "simulate_state_n6": f"simulate --n 6 --state {GOLDEN / 'state_n6.json'} --sample 500 --seed 11",
     "verify_n8_perm": f"verify --n 8 --perm {_PERM_N8}",
+    "simulate_state_n8": f"simulate --n 8 --state {GOLDEN / 'state_n8.json'} --sample 1000 --seed 13",
+    "verify_n10": "verify --n 10",
+}
+
+# Tolerances just above the catalog unitaries' defects (2.2e-16, 1.1e-16):
+# the bases pass their own certification, the projector checks do not.
+FAILING_COMMANDS = {
+    "verify_ghz_tol5e-16": "verify --n 3 --basis ghz --tol 5e-16",
+    "verify_w_tol5e-16": "verify --n 3 --basis w --tol 5e-16",
+    "verify_equal_weight_tol5e-16": "verify --n 3 --basis equal_weight --tol 5e-16",
+    "verify_equal_weight_tol2e-16": "verify --n 3 --basis equal_weight --tol 2e-16",
 }
 
 COMMANDS = {**README_COMMANDS, **LARGER_COMMANDS}
@@ -40,4 +52,12 @@ def test_readme_command_stdout_is_unchanged(capsys, name):
     code = main(COMMANDS[name].split())
     out = capsys.readouterr().out
     assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_COMMANDS))
+def test_verify_failure_text_is_unchanged(capsys, name):
+    code = main(FAILING_COMMANDS[name].split())
+    out = capsys.readouterr().out
+    assert code == 1
     assert out == (GOLDEN / f"{name}.out").read_text()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statesieve import (CERECEDA_AXES, CERECEDA_PREIMAGE_DIAGONALS, Partition,
-                        cereceda_system, certify_system, commutator_norm,
+                        ResourceLimitError, cereceda_system, certify_system, commutator_norm,
                         conjugate, embed, ghz_basis, is_projector, pauli,
                         sigma_product_proposition, system_partitions)
 
@@ -54,6 +54,10 @@ class TestEmbed:
         with pytest.raises(ValueError, match="site"):
             embed("x", site, 3)
 
+    def test_shares_the_system_size_guard(self):
+        with pytest.raises(ResourceLimitError):
+            embed("x", 1, 11)
+
     @pytest.mark.parametrize("a", ["x", "y", "z"])
     @pytest.mark.parametrize("b", ["x", "y", "z"])
     def test_disjoint_sites_commute(self, a, b):
@@ -76,6 +80,10 @@ class TestSigmaProduct:
         d = np.diag(np.array(CERECEDA_PREIMAGE_DIAGONALS[0], dtype=complex))
         assert np.allclose(sigma_product_proposition("xyy"),
                            conjugate(u.matrix, d), atol=1e-10)
+
+    def test_shares_the_system_size_guard(self):
+        with pytest.raises(ResourceLimitError):
+            sigma_product_proposition("x" * 11)
 
     def test_rejects_bad_assignments(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,29 @@ class TestSampling:
         with pytest.raises(ValueError, match="trials"):
             sample_detections(standard_system(2), np.eye(4)[0], 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 5, 99])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_counts_equal_a_per_trial_projector_walk(self, seed, dense):
+        # The reference collapses the state through every projector on every
+        # trial; the tree walk must reproduce its counts exactly.
+        system = standard_system(4)
+        if dense:
+            system = PropositionSystem(4, system.projectors)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        v /= np.linalg.norm(v)
+        expected = [0] * 16
+        for t in range(300):
+            trial_rng = np.random.default_rng(seed + t)
+            w, bits = v, []
+            for p in system.projectors:
+                yes = p @ w
+                p_yes = float(np.real(np.vdot(yes, yes)) / np.real(np.vdot(w, w)))
+                bits.append(int(trial_rng.random() < p_yes))
+                w = yes if bits[-1] else w - yes
+            expected[detector_for_bits(bits) - 1] += 1
+        assert sample_detections(system, v, 300, seed) == expected
+
 
 class TestNaiveSearch:
     def test_first_guess_correct(self):
