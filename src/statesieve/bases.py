@@ -118,13 +118,6 @@ def combo_label(vec: np.ndarray, n: int, tol: float = 1e-9) -> str:
     return f"({terms})/{_sqrt_string(d)}"
 
 
-def _labels_for(vectors: np.ndarray, n: int, fallback: str) -> tuple[str, ...]:
-    labels = []
-    for k in range(vectors.shape[0]):
-        labels.append(combo_label(vectors[k], n) or f"{fallback}{k + 1}")
-    return tuple(labels)
-
-
 def standard_basis(n: int, force: bool = False) -> Basis:
     """The N = 2^n canonical unit vectors labeled |+..+> down to |-..->."""
     dim = _check_n(n, force)
@@ -139,7 +132,8 @@ def basis_from_unitary(u: NamedUnitary, n: int,
     if not is_unitary(u.matrix, tol):
         raise ValueError(f"matrix for basis '{u.name}' is not unitary within {tol}")
     vectors = u.matrix.T.copy()
-    return Basis(vectors, _labels_for(vectors, n, fallback=f"{u.name}_"))
+    labels = tuple(combo_label(v, n) or f"{u.name}_{k}" for k, v in enumerate(vectors, start=1))
+    return Basis(vectors, labels)
 
 
 _GHZ_INT = np.array([

@@ -19,13 +19,12 @@ from . import jsonio
 from .bases import (BASIS_KEYS, Basis, NamedUnitary, named_basis, standard_basis,
                     transformed_system)
 from .linalg import DEFAULT_TOL, EigenbasisError
-from .partitions import is_atomic, meet_all
+from .partitions import Partition, is_atomic
 from .paulis import CERECEDA_AXES, cereceda_system, sigma_product_proposition
 from .sieve import measure_state, question_count_stats, route_basis_state, sample_detections
-from .systems import (PropositionSystem, answer_codes, certify_system,
-                      enumerate_systems, minimality_certificate,
-                      permute_system, separates, standard_system,
-                      system_partitions, verify_requirements)
+from .systems import (PropositionSystem, _requirement_report, answer_codes,
+                      certify_system, enumerate_systems, minimality_certificate,
+                      permute_system, standard_system)
 
 EXIT_OK = 0
 EXIT_PROPERTY_VIOLATION = 1
@@ -58,6 +57,21 @@ def _resolve_tol(args) -> float:
     if env:
         return _tolerance(env, "SIEVE_TOL")
     return DEFAULT_TOL
+
+
+def _limit_arg(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"--limit must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _read_json(path: str, decode):
+    """decode(the JSON value in path); nesting too deep to parse is a ValueError naming it."""
+    try:
+        with open(path) as fh:
+            return decode(json.load(fh))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def _parse_perm(text: str) -> list[int]:
@@ -132,8 +146,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     tol = _resolve_tol(args)
     if args.file:
-        with open(args.file) as fh:
-            system = jsonio.system_from_json(json.load(fh))
+        system = _read_json(args.file, jsonio.system_from_json)
         basis = standard_basis(system.n)
     else:
         # named_basis certifies a catalog unitary at tol; the standard basis is exact
@@ -142,9 +155,10 @@ def _cmd_verify(args) -> int:
     failures = list(certify_system(system, tol))
     separating = False
     try:
-        report = verify_requirements(system, basis, tol)
+        codes = answer_codes(system, basis, tol)
+        report = _requirement_report(system, codes, tol)
         failures.extend(report.failures)
-        separating = separates(system, basis, tol)
+        separating = is_atomic(Partition.from_codes(codes))
         if not separating:
             failures.append("system does not separate the basis")
         payload = jsonio.requirement_report_to_json(report)
@@ -169,17 +183,18 @@ def _cmd_transform(args) -> int:
     payload: dict[str, Any] = {"n": args.n, "basis": args.basis}
     if "projectors" in wanted:
         payload["projectors"] = [jsonio.matrix_to_json(p) for p in system.projectors]
-    if "partitions" in wanted or "meet" in wanted:
-        parts = system_partitions(system, basis, tol)
-        if "partitions" in wanted:
-            payload["partitions"] = [jsonio.partition_to_json(p) for p in parts]
-        if "meet" in wanted:
-            m = meet_all(parts)
-            payload["meet"] = jsonio.partition_to_json(m)
-            payload["atomic"] = is_atomic(m)
+    if {"partitions", "meet", "codes"} & set(wanted):
+        codes = answer_codes(system, basis, tol)
+    if "partitions" in wanted:
+        payload["partitions"] = [jsonio.partition_to_json(Partition.from_codes(column))
+                                 for column in codes.T]
+    if "meet" in wanted:
+        m = Partition.from_codes(codes)
+        payload["meet"] = jsonio.partition_to_json(m)
+        payload["atomic"] = is_atomic(m)
     if "codes" in wanted:
-        payload["codes"] = [{"state": k, "bits": bits} for k, bits in
-                            enumerate(answer_codes(system, basis, tol).tolist(), start=1)]
+        payload["codes"] = [{"state": k, "bits": bits}
+                            for k, bits in enumerate(codes.tolist(), start=1)]
     if "basis" in wanted:
         payload["basis_states"] = jsonio.basis_to_json(basis)
     if "unitary" in wanted:
@@ -216,8 +231,7 @@ def _cmd_simulate(args) -> int:
         payload: dict[str, Any] = jsonio.outcome_to_json(outcome)
         payload["state"] = basis.labels[args.index - 1]
     else:
-        with open(args.state) as fh:
-            state = jsonio.vector_from_json(json.load(fh))
+        state = _read_json(args.state, jsonio.vector_from_json)
         dist = measure_state(system, state, tol)
         payload = jsonio.distribution_to_json(dist)
     if args.sample:
@@ -299,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common],
                        help="stream the N! equivalent diagonal systems")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_limit_arg, default=None)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -13,6 +13,7 @@ from typing import Any
 import numpy as np
 
 from .bases import Basis
+from .linalg import as_vector
 from .partitions import Partition
 from .sieve import DetectorOutcome, MeasurementDistribution, StrategyStats
 from .systems import INDEX_MAX_N, MinimalityReport, PropositionSystem, RequirementReport
@@ -65,10 +66,7 @@ def matrix_from_json(obj: Any) -> np.ndarray:
 
 
 def vector_to_json(v) -> dict[str, Any]:
-    a = np.asarray(v, dtype=complex)
-    if a.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {a.shape}")
-    return matrix_to_json(a.reshape(-1, 1))
+    return matrix_to_json(as_vector(v).reshape(-1, 1))
 
 
 def vector_from_json(obj: dict[str, Any]) -> np.ndarray:

@@ -3,14 +3,17 @@
 A projector with a common eigenbasis splits the basis indices {1..N} into
 an eigenvalue-1 block and an eigenvalue-0 block; running several commuting
 propositions in sequence refines the partition down to (ideally) singletons.
-Partitions are purely combinatorial: indices are 1-based integers, and the
-basis object owns the index -> vector correspondence.
+The positions that share a row of answer codes form a block.  Partitions are
+purely combinatorial: indices are 1-based integers, and the basis object
+owns the index -> vector correspondence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from .linalg import DEFAULT_TOL, as_matrix, eigenvalue_bits
 
@@ -52,10 +55,15 @@ class Partition:
         return len(self.blocks)
 
     @classmethod
-    def from_bits(cls, bits) -> "Partition":
-        """Blocks of the 1-based positions with bit 1 and with bit 0, empty ones omitted."""
-        blocks = [tuple(k for k, b in enumerate(bits, start=1) if b == bit) for bit in (1, 0)]
-        return cls(len(bits), tuple(b for b in blocks if b))
+    def from_codes(cls, codes) -> "Partition":
+        """Blocks of the 1-based positions that share a code row; a 1-D array
+        holds one code bit per position."""
+        codes = np.asarray(codes)
+        rows = codes if codes.ndim == 2 else codes[:, np.newaxis]
+        groups: dict[tuple, list[int]] = {}
+        for k, row in enumerate(rows.tolist(), start=1):
+            groups.setdefault(tuple(row), []).append(k)
+        return cls(len(rows), tuple(map(tuple, groups.values())))
 
 
 def partition_from_projector(p, basis: "Basis",
@@ -70,33 +78,27 @@ def partition_from_projector(p, basis: "Basis",
     p = as_matrix(p)
     if p.shape[0] != basis.dim:
         raise ValueError(f"dimension mismatch: projector {p.shape[0]}, basis {basis.dim}")
-    return Partition.from_bits(eigenvalue_bits(p, basis.vectors, tol))
+    return Partition.from_codes(eigenvalue_bits(p, basis.vectors, tol))
 
 
 def meet(a: Partition, b: Partition) -> Partition:
     """Common refinement: all non-empty pairwise intersections of blocks."""
-    if a.ground_size != b.ground_size:
-        raise ValueError(
-            f"ground-size mismatch: {a.ground_size} vs {b.ground_size}")
-    blocks = []
-    for block_a in a.blocks:
-        set_a = set(block_a)
-        for block_b in b.blocks:
-            common = set_a.intersection(block_b)
-            if common:
-                blocks.append(tuple(sorted(common)))
-    return Partition(a.ground_size, tuple(blocks))
+    return meet_all((a, b))
 
 
 def meet_all(parts: Iterable[Partition]) -> Partition:
-    """Meet of a non-empty sequence of partitions."""
+    """Meet of a non-empty sequence of partitions: positions grouped by their block labels."""
     parts = list(parts)
     if not parts:
         raise ValueError("meet_all needs at least one partition")
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = meet(acc, p)
-    return acc
+    ground = parts[0].ground_size
+    labels = np.zeros((ground, len(parts)), dtype=int)
+    for j, p in enumerate(parts):
+        if p.ground_size != ground:
+            raise ValueError(f"ground-size mismatch: {ground} vs {p.ground_size}")
+        for label, block in enumerate(p.blocks):
+            labels[np.subtract(block, 1), j] = label
+    return Partition.from_codes(labels)
 
 
 def is_atomic(p: Partition) -> bool:
@@ -106,10 +108,4 @@ def is_atomic(p: Partition) -> bool:
 
 def refines(fine: Partition, coarse: Partition) -> bool:
     """True iff every block of `fine` is contained in some block of `coarse`."""
-    if fine.ground_size != coarse.ground_size:
-        return False
-    containing = {}
-    for block in coarse.blocks:
-        for i in block:
-            containing[i] = block
-    return all(set(b) <= set(containing[b[0]]) for b in fine.blocks)
+    return fine.ground_size == coarse.ground_size and meet(fine, coarse) == fine

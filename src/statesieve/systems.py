@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from .linalg import DEFAULT_TOL, commutator_norm, eigenvalue_bits, is_projector, max_abs
-from .partitions import Partition
+from .partitions import Partition, is_atomic
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -237,18 +237,23 @@ def answer_codes(system: PropositionSystem, basis: "Basis",
 
 def system_partitions(system: PropositionSystem, basis: "Basis",
                       tol: float = DEFAULT_TOL) -> list[Partition]:
-    return [Partition.from_bits(column) for column in answer_codes(system, basis, tol).T]
+    return [Partition.from_codes(column) for column in answer_codes(system, basis, tol).T]
 
 
 def verify_requirements(system: PropositionSystem, basis: "Basis",
                         tol: float = DEFAULT_TOL) -> RequirementReport:
     """Verify the three defining requirements against a basis."""
+    return _requirement_report(system, answer_codes(system, basis, tol), tol)
+
+
+def _requirement_report(system: PropositionSystem, codes: np.ndarray,
+                        tol: float) -> RequirementReport:
+    """The three requirements, with (ii) and (iii) counted on the answer codes."""
     failures = [f"(i) projectors {i},{j} do not commute (norm {c:.3e})"
                 for i, j, c in _noncommuting_pairs(system, tol)]
     co_measurable = not failures
 
-    codes = answer_codes(system, basis, tol)
-    half = basis.size // 2
+    half = len(codes) // 2
     balanced = True
     for i, column in enumerate(codes.T, start=1):
         sizes = sorted(int(c) for c in np.bincount(column) if c)
@@ -257,7 +262,7 @@ def verify_requirements(system: PropositionSystem, basis: "Basis",
             failures.append(f"(ii) projector {i} splits sizes {sizes}, "
                             f"expected [{half}, {half}]")
 
-    quarter = basis.size // 4
+    quarter = len(codes) // 4
     refining = True
     for i, j in itertools.combinations(range(system.size), 2):
         sizes = sorted(int(c) for c in np.bincount(2 * codes[:, i] + codes[:, j]) if c)
@@ -295,15 +300,6 @@ def column_codes(system: PropositionSystem,
             for k in range(diags.shape[1])]
 
 
-def _validate_permutation(perm: Sequence[int], size: int) -> np.ndarray:
-    p = np.asarray(perm, dtype=int)
-    if p.shape != (size,):
-        raise ValueError(f"permutation must have length {size}, got {p.shape}")
-    if sorted(p.tolist()) != list(range(size)):
-        raise ValueError("permutation is not a bijection on 0..N-1")
-    return p
-
-
 def permute_system(system: PropositionSystem,
                    perm: Sequence[int],
                    tol: float = DEFAULT_TOL) -> PropositionSystem:
@@ -315,7 +311,11 @@ def permute_system(system: PropositionSystem,
     permute(S, q o p).
     """
     diags = _diagonals_of(system, tol)
-    p = _validate_permutation(perm, diags.shape[1])
+    p, size = np.asarray(perm, dtype=int), diags.shape[1]
+    if p.shape != (size,):
+        raise ValueError(f"permutation must have length {size}, got {p.shape}")
+    if sorted(p.tolist()) != list(range(size)):
+        raise ValueError("permutation is not a bijection on 0..N-1")
     out = np.empty_like(diags)
     out[:, p] = diags
     return system_from_diagonals(out)
@@ -353,12 +353,7 @@ def separates(system: PropositionSystem, basis: "Basis",
     a vector that is not raises EigenbasisError (that situation is a
     usage error, not a 'no').
     """
-    return _rows_distinct(answer_codes(system, basis, tol))
-
-
-def _rows_distinct(codes) -> bool:
-    """True iff no two positions share a code row: the propositions separate them."""
-    return len(set(map(tuple, np.asarray(codes).tolist()))) == len(codes)
+    return is_atomic(Partition.from_codes(answer_codes(system, basis, tol)))
 
 
 def minimality_certificate(n: int) -> MinimalityReport:
@@ -371,7 +366,8 @@ def minimality_certificate(n: int) -> MinimalityReport:
         scanned, found = 0, False
         for subset in itertools.combinations(range(2 ** dim), n - 1):
             scanned += 1
-            if _rows_distinct([[(mask >> k) & 1 for mask in subset] for k in range(dim)]):
+            codes = [[(mask >> k) & 1 for mask in subset] for k in range(dim)]
+            if is_atomic(Partition.from_codes(codes)):
                 found = True
                 break
     return MinimalityReport(
@@ -384,4 +380,5 @@ def standard_subset_meets_nonatomic(n: int, basis: "Basis",
                                     tol: float = DEFAULT_TOL) -> bool:
     """True iff dropping any one standard projector leaves a non-atomic meet."""
     codes = answer_codes(standard_system(n), basis, tol)
-    return not any(_rows_distinct(np.delete(codes, skip, axis=1)) for skip in range(n))
+    return not any(is_atomic(Partition.from_codes(np.delete(codes, skip, axis=1)))
+                   for skip in range(n))

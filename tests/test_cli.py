@@ -120,6 +120,14 @@ class TestVerify:
     def test_zero_tol_certifies_an_exact_system(self, capsys):
         assert run_json(capsys, "verify", "--n", "2", "--tol", "0")["certified"]
 
+    def test_deeply_nested_file_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "verify", "--file", str(path))
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and str(path) in error["message"]
+
 
 class TestTransform:
     def test_ghz_partitions_and_meet(self, capsys):
@@ -154,6 +162,17 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--count-only")
         assert code == 3
         assert "force" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("limit", ["-1", "x", "1.5"])
+    def test_bad_limit_is_a_usage_error(self, capsys, limit):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "2", "--limit", limit])
+        assert exc.value.code == 2
+        assert "--limit must be an integer >= 0" in capsys.readouterr().err
+
+    def test_zero_limit_emits_nothing(self, capsys):
+        assert run_json(capsys, "enumerate", "--n", "2", "--limit", "0") == {
+            "n": 2, "count": 0, "systems": []}
 
     def test_force_overrides_the_dimension_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(systems, "MAX_N", 2)
@@ -204,6 +223,14 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--n", "1", "--state", str(path))
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_deeply_nested_state_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "simulate", "--n", "1", "--state", str(path))
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and str(path) in error["message"]
 
     def test_json_output_refuses_nan(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "route_basis_state", lambda *args: DetectorOutcome((1,), math.nan))

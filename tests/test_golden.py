@@ -27,12 +27,15 @@ README_COMMANDS = {
 }
 
 _PERM_N8 = ",".join(str(t + 1) for t in np.random.default_rng(8).permutation(256))
+_PERM_N9 = ",".join(str(t + 1) for t in np.random.default_rng(9).permutation(512))
 
 LARGER_COMMANDS = {
     "simulate_state_n6": f"simulate --n 6 --state {GOLDEN / 'state_n6.json'} --sample 500 --seed 11",
     "verify_n8_perm": f"verify --n 8 --perm {_PERM_N8}",
     "simulate_state_n8": f"simulate --n 8 --state {GOLDEN / 'state_n8.json'} --sample 1000 --seed 13",
     "verify_n10": "verify --n 10",
+    "transform_n9_perm": f"transform --n 9 --perm {_PERM_N9} --emit partitions,meet,codes",
+    "partition_ghz_text": "partition --n 3 --basis ghz --format text",
 }
 
 # Tolerances just above the catalog unitaries' defects (2.2e-16, 1.1e-16):
@@ -42,6 +45,8 @@ FAILING_COMMANDS = {
     "verify_w_tol5e-16": "verify --n 3 --basis w --tol 5e-16",
     "verify_equal_weight_tol5e-16": "verify --n 3 --basis equal_weight --tol 5e-16",
     "verify_equal_weight_tol2e-16": "verify --n 3 --basis equal_weight --tol 2e-16",
+    # diagonals a, b and a xor b: every requirement holds, separation does not
+    "verify_parity_n3": f"verify --file {GOLDEN / 'parity_n3.json'}",
 }
 
 COMMANDS = {**README_COMMANDS, **LARGER_COMMANDS}
