@@ -7,7 +7,7 @@ from .partitions import (Partition, is_atomic, meet, meet_all,
                          partition_from_projector, refines)
 from .systems import (ColumnCode, MinimalityReport, PropositionSystem,
                       RequirementReport, ResourceLimitError, answer_codes,
-                      certify_system, column_codes, enumerate_systems,
+                      certify_system, column_codes, count_systems, enumerate_systems,
                       minimality_certificate, permute_system, separates,
                       standard_diagonals, standard_system, system_from_diagonals,
                       system_partitions, verify_requirements)
@@ -19,7 +19,7 @@ from .paulis import (CERECEDA_AXES, CERECEDA_PREIMAGE_DIAGONALS,
                      cereceda_system, embed, pauli, sigma_product_proposition)
 from .sieve import (DetectorOutcome, MeasurementDistribution,
                     QuestionCountRecord, StatsSummary, StrategyStats,
-                    detector_for_bits, measure_state, naive_search,
+                    detector_for_bits, measure_and_sample, measure_state, naive_search,
                     question_count_stats, route_basis_state, sample_detections)
 
 __version__ = "0.1.0"

@@ -21,10 +21,12 @@ from .bases import (BASIS_KEYS, Basis, NamedUnitary, named_basis, standard_basis
 from .linalg import DEFAULT_TOL, EigenbasisError
 from .partitions import Partition, is_atomic
 from .paulis import CERECEDA_AXES, cereceda_system, sigma_product_proposition
-from .sieve import measure_state, question_count_stats, route_basis_state, sample_detections
-from .systems import (PropositionSystem, _requirement_report, answer_codes,
-                      certify_system, enumerate_systems, minimality_certificate,
-                      permute_system, standard_system)
+from .sieve import (measure_and_sample, measure_state, question_count_stats, route_basis_state,
+                    sample_detections)
+from .systems import (PropositionSystem, _certification_failures, _noncommuting_pairs,
+                      _requirement_report, answer_codes, certify_system, count_systems,
+                      enumerate_systems, minimality_certificate, permute_system,
+                      standard_system)
 
 EXIT_OK = 0
 EXIT_PROPERTY_VIOLATION = 1
@@ -152,11 +154,12 @@ def _cmd_verify(args) -> int:
         # named_basis certifies a catalog unitary at tol; the standard basis is exact
         system, basis, _ = _build_system(args, tol)
 
-    failures = list(certify_system(system, tol))
+    noncommuting = list(_noncommuting_pairs(system, tol))  # one scan for both reports
+    failures = _certification_failures(system, tol, noncommuting)
     separating = False
     try:
         codes = answer_codes(system, basis, tol)
-        report = _requirement_report(system, codes, tol)
+        report = _requirement_report(system, codes, noncommuting)
         failures.extend(report.failures)
         separating = is_atomic(Partition.from_codes(codes))
         if not separating:
@@ -205,15 +208,13 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    count = 0
-    systems_json = []
-    for system in enumerate_systems(args.n, limit=args.limit, force=args.force):
-        count += 1
-        if not args.count_only:
-            systems_json.append(jsonio.system_to_json(system))
-    payload: dict[str, Any] = {"n": args.n, "count": count}
-    if not args.count_only:
-        payload["systems"] = systems_json
+    if args.count_only:
+        payload: dict[str, Any] = {
+            "n": args.n, "count": count_systems(args.n, limit=args.limit, force=args.force)}
+    else:
+        systems_json = [jsonio.system_to_json(system) for system in
+                        enumerate_systems(args.n, limit=args.limit, force=args.force)]
+        payload = {"n": args.n, "count": len(systems_json), "systems": systems_json}
     _emit(args, payload)
     return EXIT_OK
 
@@ -230,12 +231,16 @@ def _cmd_simulate(args) -> int:
         outcome = route_basis_state(system, basis, args.index, tol)
         payload: dict[str, Any] = jsonio.outcome_to_json(outcome)
         payload["state"] = basis.labels[args.index - 1]
+        if args.sample:
+            counts = sample_detections(system, state, args.sample, args.seed, tol)
     else:
         state = _read_json(args.state, jsonio.vector_from_json)
-        dist = measure_state(system, state, tol)
+        if args.sample:  # one branch-weight tree for both
+            dist, counts = measure_and_sample(system, state, args.sample, args.seed, tol)
+        else:
+            dist = measure_state(system, state, tol)
         payload = jsonio.distribution_to_json(dist)
     if args.sample:
-        counts = sample_detections(system, state, args.sample, args.seed, tol)
         payload["sample"] = {"trials": args.sample, "seed": args.seed,
                              "counts": counts}
     _emit(args, payload)

@@ -127,9 +127,7 @@ def eigenvalue_bits(p: np.ndarray, vectors: np.ndarray, tol: float = DEFAULT_TOL
     """0/1 eigenvalues of projector p on the normalized rows of `vectors`.
 
     p is a dense matrix or, for a diagonal projector, the 1-D diagonal.
-    Rounds each Rayleigh quotient <v|P|v> to {0, 1}.  The first quotient
-    farther than tol from both raises EigenbasisError, which names row k
-    (0-based) as vector first_vector_index + k, or no vector for None.
+    Rounds each Rayleigh quotient <v|P|v> as quotient_bits does.
     """
     v = np.asarray(vectors)
     p = np.asarray(p)
@@ -137,6 +135,18 @@ def eigenvalue_bits(p: np.ndarray, vectors: np.ndarray, tol: float = DEFAULT_TOL
         q = np.abs(v) ** 2 @ p
     else:
         q = np.real(np.einsum("kd,kd->k", np.conj(v), v @ p.T))
+    return quotient_bits(q, tol, projector_index, first_vector_index)
+
+
+def quotient_bits(q: np.ndarray, tol: float = DEFAULT_TOL,
+                  projector_index: int | None = None,
+                  first_vector_index: int | None = 1) -> np.ndarray:
+    """Rayleigh quotients rounded to {0, 1}.
+
+    The first quotient farther than tol from both raises EigenbasisError,
+    which names entry k (0-based) as vector first_vector_index + k, or no
+    vector for None.
+    """
     zeros = np.abs(q) <= tol
     ones = ~zeros & (np.abs(q - 1.0) <= tol)
     bad = np.flatnonzero(~(zeros | ones))

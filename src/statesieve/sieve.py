@@ -103,23 +103,74 @@ def _as_state(system: PropositionSystem, state) -> np.ndarray:
     return v
 
 
+# measure_state accepts branch weights summing to 1 within max(tol, BRANCH_SUM_FLOOR):
+# N rounded squared norms do not sum to 1 more closely than that, however small tol is.
+BRANCH_SUM_FLOOR = 1e-9
+
+
 def _branch_weights(system: PropositionSystem, state: np.ndarray) -> list[np.ndarray]:
     """Squared norms of the filter cascade's branch vectors, one array per level.
 
     Level i + 1 splits branch j of level i, vector v, into P_i v (branch 2j)
     and v - P_i v (branch 2j + 1), so after n levels the leaf of answer word
-    b sits at detector(b) - 1.  Only two levels of vectors are held at once.
+    b sits at detector(b) - 1.  At most two levels of vectors are held at
+    once, none of the last level (only its weights are read) and none that
+    is exactly zero (off an eigenstate's path): every branch below one
+    weighs 0.0, which is what its vdot would give.
     """
-    branches = [state]
+    branches = {0: state}
     weights = [np.array([np.real(np.vdot(state, state))])]
     for i in range(system.size):
-        nxt = []
-        for v in branches:
+        level = np.zeros(2 * len(weights[-1]))
+        nxt = {}
+        for j, v in branches.items():
             yes = system.apply(i, v)
-            nxt += (yes, v - yes)
+            for k, b in ((2 * j, yes), (2 * j + 1, v - yes)):
+                level[k] = np.real(np.vdot(b, b))
+                if i + 1 < system.size and (level[k] or b.any()):
+                    nxt[k] = b
         branches = nxt
-        weights.append(np.array([np.real(np.vdot(v, v)) for v in branches]))
+        weights.append(level)
     return weights
+
+
+def _measured_weights(system: PropositionSystem, state, tol: float) -> list[np.ndarray]:
+    """The branch weights of a normalized state, checked to sum to 1."""
+    v = _as_state(system, state)
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > tol:
+        raise ValueError(f"state is not normalized (norm {norm:.6g})")
+    weights = _branch_weights(system, v)
+    total = float(weights[-1].sum())
+    if abs(total - 1.0) > max(tol, BRANCH_SUM_FLOOR):
+        raise ValueError(
+            f"branch weights sum to {total:.6g}; system is not certified")
+    return weights
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
+def _walk(weights: list[np.ndarray], dim: int, trials: int, seed: int) -> list[int]:
+    """Detector counts of `trials` walks down the branch-weight tree.
+
+    At level i the walk at branch j says yes with probability
+    weights[i + 1][2j] / weights[i][j].  Trial t draws its n uniforms, in
+    order, from default_rng(seed + t).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = [(below[0::2] / above).tolist() for above, below in zip(weights, weights[1:])]
+    counts = [0] * dim
+    for t in range(trials):
+        j = 0
+        for r, yes in zip(np.random.default_rng(seed + t).random(len(ratios)).tolist(), ratios):
+            # `not r < yes[j]` rather than `r >= yes[j]`: a NaN ratio (0/0, below a
+            # zero branch) says no
+            j = 2 * j + (not r < yes[j])
+        counts[j] += 1
+    return counts
 
 
 def measure_state(system: PropositionSystem, state,
@@ -130,16 +181,7 @@ def measure_state(system: PropositionSystem, state,
     through the k-th branch of commuting projectors/complements; for a
     common eigenvector this is a point mass on the routed detector.
     """
-    v = _as_state(system, state)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state is not normalized (norm {norm:.6g})")
-    probs = _branch_weights(system, v)[-1]
-    total = float(probs.sum())
-    if abs(total - 1.0) > max(tol, 1e-9):
-        raise ValueError(
-            f"branch weights sum to {total:.6g}; system is not certified")
-    return MeasurementDistribution(tuple(float(p) for p in probs))
+    return MeasurementDistribution(tuple(_measured_weights(system, state, tol)[-1].tolist()))
 
 
 def sample_detections(system: PropositionSystem, state, trials: int,
@@ -151,18 +193,17 @@ def sample_detections(system: PropositionSystem, state, trials: int,
     Reproducible for a fixed seed (trial t uses generator seed seed + t).
     """
     v = _as_state(system, state)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    weights = _branch_weights(system, v)
-    counts = [0] * system.dim
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        j = 0
-        for i in range(system.size):
-            # `not r < p` rather than `r >= p`: a NaN ratio (a zero branch) says no
-            j = 2 * j + (not rng.random() < weights[i + 1][2 * j] / weights[i][j])
-        counts[j] += 1
-    return counts
+    _check_trials(trials)
+    return _walk(_branch_weights(system, v), system.dim, trials, seed)
+
+
+def measure_and_sample(system: PropositionSystem, state, trials: int, seed: int,
+                       tol: float = DEFAULT_TOL) -> tuple[MeasurementDistribution, list[int]]:
+    """measure_state and sample_detections of one state from one branch-weight tree."""
+    weights = _measured_weights(system, state, tol)
+    _check_trials(trials)
+    return (MeasurementDistribution(tuple(weights[-1].tolist())),
+            _walk(weights, system.dim, trials, seed))
 
 
 def naive_search(n: int, target_index: int, question_order: Sequence[int],
@@ -195,21 +236,24 @@ def question_count_stats(n: int, trials: int, seed: int,
 
     Naive trials draw a uniform target and a uniform question order;
     trial t derives its generator from seed + t, so results do not depend
-    on execution order across threads.  The sieve side is exact: every
-    search takes n questions.
+    on execution order across threads.  A trial costs that generator and
+    its two draws: the questions asked are the target's 1-based position
+    in the order (naive_search's count, without its checks).  The sieve
+    side is exact: every search takes n questions.
     """
     dim = _check_n(n)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     total = 0
     worst = 0
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         target = int(rng.integers(1, dim + 1))
-        order = rng.permutation(dim) + 1
-        record = naive_search(n, target, order.tolist(), infer_last=infer_last)
-        total += record.questions_asked
-        worst = max(worst, record.questions_asked)
+        # the naive search asks about the states in this order and stops at the target
+        asked = int((rng.permutation(dim) == target - 1).argmax()) + 1
+        if infer_last and asked == dim:
+            asked = dim - 1
+        total += asked
+        worst = max(worst, asked)
     naive = StrategyStats("naive", n, trials, seed, total / trials, worst)
     sieve = StrategyStats("sieve", n, trials, seed, float(n), n)
     return StatsSummary(naive, sieve)

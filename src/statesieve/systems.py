@@ -10,12 +10,14 @@ diagonal systems.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, commutator_norm, eigenvalue_bits, is_projector, max_abs
+from .linalg import (DEFAULT_TOL, commutator_norm, eigenvalue_bits, is_projector, max_abs,
+                     quotient_bits)
 from .partitions import Partition, is_atomic
 
 if TYPE_CHECKING:
@@ -205,6 +207,12 @@ def certify_system(system: PropositionSystem,
 
     Returns a list of human-readable failure descriptions (empty = certified).
     """
+    return _certification_failures(system, tol, list(_noncommuting_pairs(system, tol)))
+
+
+def _certification_failures(system: PropositionSystem, tol: float,
+                            noncommuting: list[tuple[int, int, float]]) -> list[str]:
+    """certify_system's failures, given the result of _noncommuting_pairs."""
     failures = []
     half = system.dim / 2
     for i in range(1, system.size + 1):
@@ -215,7 +223,7 @@ def certify_system(system: PropositionSystem,
         if abs(trace - half) > tol:
             failures.append(f"projector {i} has trace {trace:.6g}, expected {half}")
     failures.extend(f"projectors {i} and {j} do not commute (norm {c:.3e})"
-                    for i, j, c in _noncommuting_pairs(system, tol))
+                    for i, j, c in noncommuting)
     return failures
 
 
@@ -229,9 +237,13 @@ def answer_codes(system: PropositionSystem, basis: "Basis",
         raise ValueError(
             f"dimension mismatch: system {system.dim}, basis {basis.dim}")
     codes = np.zeros((basis.size, system.size), dtype=int)
-    for i in range(system.size):
-        codes[:, i] = eigenvalue_bits(system.operator(i), basis.vectors, tol,
-                                      projector_index=i + 1)
+    if system.diagonals is not None:
+        squared = np.abs(basis.vectors) ** 2  # once for all n quotients |V|^2 @ d
+        for i, d in enumerate(system.diagonals):
+            codes[:, i] = quotient_bits(squared @ d, tol, projector_index=i + 1)
+        return codes
+    for i, p in enumerate(system.projectors):
+        codes[:, i] = eigenvalue_bits(p, basis.vectors, tol, projector_index=i + 1)
     return codes
 
 
@@ -243,14 +255,16 @@ def system_partitions(system: PropositionSystem, basis: "Basis",
 def verify_requirements(system: PropositionSystem, basis: "Basis",
                         tol: float = DEFAULT_TOL) -> RequirementReport:
     """Verify the three defining requirements against a basis."""
-    return _requirement_report(system, answer_codes(system, basis, tol), tol)
+    codes = answer_codes(system, basis, tol)
+    return _requirement_report(system, codes, list(_noncommuting_pairs(system, tol)))
 
 
 def _requirement_report(system: PropositionSystem, codes: np.ndarray,
-                        tol: float) -> RequirementReport:
-    """The three requirements, with (ii) and (iii) counted on the answer codes."""
+                        noncommuting: list[tuple[int, int, float]]) -> RequirementReport:
+    """The three requirements: (i) from the result of _noncommuting_pairs,
+    (ii) and (iii) counted on the answer codes."""
     failures = [f"(i) projectors {i},{j} do not commute (norm {c:.3e})"
-                for i, j, c in _noncommuting_pairs(system, tol)]
+                for i, j, c in noncommuting]
     co_measurable = not failures
 
     half = len(codes) // 2
@@ -321,19 +335,48 @@ def permute_system(system: PropositionSystem,
     return system_from_diagonals(out)
 
 
+def _check_enumeration(n: int, limit: int | None, force: bool) -> int:
+    """N = 2^n after the size guard and the full-enumeration guard: all N!
+    systems are refused for n > 3 unless a limit or force is given."""
+    dim = _check_n(n, force)
+    if limit is None and n > FULL_ENUM_MAX_N and not force:
+        raise ResourceLimitError(
+            f"full enumeration for n = {n} means {dim}! systems; "
+            "pass a limit or force")
+    return dim
+
+
+def count_systems(n: int, limit: int | None = None, force: bool = False) -> int:
+    """How many systems enumerate_systems(n, limit, force) yields: min(limit, N!).
+
+    Builds no system.  With a limit the product 1 * 2 * ... stops as soon as
+    it reaches the limit, so any n the guards allow is counted at once.
+    Without one, n > MAX_N is refused even under force: 2048! alone has
+    more digits than Python converts to a string.
+    """
+    dim = _check_enumeration(n, limit, force)
+    if limit is None:
+        if n > MAX_N:
+            raise ValueError(f"n = {n}: counting all {dim}! systems needs a limit")
+        return math.factorial(dim)
+    product = 1
+    for k in range(2, dim + 1):
+        if product >= limit:
+            break
+        product *= k
+    return min(limit, product)
+
+
 def enumerate_systems(n: int, limit: int | None = None,
                       force: bool = False) -> Iterator[PropositionSystem]:
     """Stream the N! equivalent diagonal systems in lexicographic perm order.
 
     Yields one system per permutation of the N column codes.  Full
     enumeration is refused for n > 3 unless force is given; any n up to
-    the dimension guard is allowed with an explicit limit.
+    the dimension guard is allowed with an explicit limit.  count_systems
+    gives the number of systems without building them.
     """
-    dim = _check_n(n, force)
-    if limit is None and n > FULL_ENUM_MAX_N and not force:
-        raise ResourceLimitError(
-            f"full enumeration for n = {n} means {dim}! systems; "
-            "pass a limit or force")
+    dim = _check_enumeration(n, limit, force)
     std = standard_diagonals(n, force)
     count = 0
     for perm in itertools.permutations(range(dim)):

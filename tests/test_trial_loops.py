@@ -1,0 +1,209 @@
+"""The seeded trial loops against reference loops and recorded digests, the
+closed-form enumeration count, and the work each command does once."""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import statesieve.sieve as sieve
+import statesieve.systems as systems
+from cascade_cases import cases, digest
+from statesieve import (PropositionSystem, ResourceLimitError, answer_codes, count_systems,
+                        enumerate_systems, ghz_basis, jsonio, measure_and_sample,
+                        measure_state, naive_search, permute_system, question_count_stats,
+                        sample_detections, standard_system)
+from statesieve.cli import main
+from statesieve.linalg import EigenbasisError, eigenvalue_bits
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def reference_stats(n, trials, seed, infer_last):
+    """question_count_stats as a loop of naive_search calls, one per trial."""
+    dim = 2 ** n
+    asked = []
+    for t in range(trials):
+        rng = np.random.default_rng(seed + t)
+        target = int(rng.integers(1, dim + 1))
+        order = rng.permutation(dim) + 1
+        asked.append(naive_search(n, target, order.tolist(), infer_last).questions_asked)
+    return sum(asked) / trials, max(asked)
+
+
+class TestQuestionCounts:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("infer_last", [False, True])
+    def test_equals_the_naive_search_loop(self, n, seed, infer_last):
+        naive = question_count_stats(n, 300, seed, infer_last=infer_last).naive
+        assert (naive.mean, naive.max) == reference_stats(n, 300, seed, infer_last)
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 16])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_one_draw_of_n_uniforms_equals_n_draws(self, n, seed):
+        one = np.random.default_rng(seed).random(n)
+        rng = np.random.default_rng(seed)
+        assert one.tobytes() == np.array([rng.random() for _ in range(n)]).tobytes()
+
+
+class TestCascade:
+    def test_counts_and_probabilities_match_the_recorded_digests(self):
+        recorded = json.loads((GOLDEN / "cascade_digests.json").read_text())
+        got = {name: digest(system, state) for name, system, state in cases()}
+        assert got.keys() == recorded.keys()
+        assert [name for name in got if got[name] != recorded[name]] == []
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_zero_state_sends_every_trial_to_the_last_detector(self, n):
+        dim = 2 ** n
+        permuted = permute_system(standard_system(n), np.random.default_rng(n).permutation(dim))
+        for system in (standard_system(n), permuted, PropositionSystem(n, permuted.projectors)):
+            assert sample_detections(system, np.zeros(dim), 40, 5) == [0] * (dim - 1) + [40]
+
+    def test_measure_and_sample_equals_the_two_calls(self):
+        for name, system, state in cases():
+            if system.n <= 8:
+                dist, counts = measure_and_sample(system, state, 100, 3)
+                assert dist == measure_state(system, state), name
+                assert counts == sample_detections(system, state, 100, 3), name
+
+    def test_measure_and_sample_checks_in_the_order_of_the_two_calls(self):
+        system = standard_system(2)
+        with pytest.raises(ValueError, match="normalized"):
+            measure_and_sample(system, np.ones(4), 0, 1)
+        with pytest.raises(ValueError, match="trials"):
+            measure_and_sample(system, np.eye(4)[0], 0, 1)
+
+    def test_an_eigenstate_applies_projectors_only_along_its_path(self, monkeypatch):
+        applied = []
+        apply = PropositionSystem.apply
+        monkeypatch.setattr(PropositionSystem, "apply",
+                            lambda self, i, v: applied.append(i) or apply(self, i, v))
+        measure_state(standard_system(8), np.eye(256)[37])
+        assert applied == list(range(8))
+
+    def test_simulate_state_with_samples_builds_one_tree(self, monkeypatch, capsys):
+        trees = []
+        build = sieve._branch_weights
+        monkeypatch.setattr(sieve, "_branch_weights",
+                            lambda *args: trees.append(1) or build(*args))
+        state = GOLDEN / "state.json"
+        assert main(["simulate", "--n", "2", "--state", str(state),
+                     "--sample", "1000", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "simulate_state.out").read_text()
+        assert len(trees) == 1
+
+
+class TestBranchSumFloor:
+    def test_exact_state_at_tol_zero(self, capsys):
+        state = GOLDEN / "state.json"
+        assert main(["simulate", "--n", "2", "--state", str(state), "--tol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"detectors": [0.25, 0.25, 0.25, 0.25]}
+
+    def test_default_n_does_not_fit_the_state_file(self, capsys):
+        code = main(["simulate", "--state", str(GOLDEN / "state.json"), "--tol", "0"])
+        assert code == 3
+        assert "dimension mismatch: state 4, system 8" in capsys.readouterr().err
+
+    def test_the_floor_absorbs_rounding_of_the_branch_sum(self, capsys, monkeypatch, tmp_path):
+        # a state of norm exactly 1.0 whose eight branch weights sum to 1 + 2^-52
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        v /= np.linalg.norm(v)
+        assert np.linalg.norm(v) == 1.0
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"rows": 8, "cols": 1,
+                                    "data": [[z.real, z.imag] for z in v.tolist()]}))
+        argv = ["simulate", "--n", "3", "--state", str(path), "--tol", "0"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sieve, "BRANCH_SUM_FLOOR", 0.0)
+        assert main(argv) == 3
+        assert "system is not certified" in capsys.readouterr().err
+
+
+LIMITS = [None, 0, 1, 5, 24, 25, 40320, 40321]
+
+
+class TestCountSystems:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("limit", LIMITS)
+    def test_equals_the_generator(self, n, limit):
+        assert count_systems(n, limit) == sum(1 for _ in enumerate_systems(n, limit))
+
+    @pytest.mark.parametrize("n, limit, force", [(0, None, False), (63, 1, True),
+                                                 (11, 5, False), (4, None, False)])
+    def test_guards_match_the_generator(self, n, limit, force):
+        with pytest.raises(ValueError) as generator:
+            next(enumerate_systems(n, limit, force))
+        with pytest.raises(ValueError) as counter:
+            count_systems(n, limit, force)
+        assert type(counter.value) is type(generator.value)
+        assert str(counter.value) == str(generator.value)
+
+    def test_builds_no_system(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a system was built")
+
+        monkeypatch.setattr(systems, "standard_diagonals", refuse)
+        monkeypatch.setattr(systems, "system_from_diagonals", refuse)
+        assert count_systems(62, limit=1, force=True) == 1
+        assert count_systems(62, limit=10 ** 30, force=True) == 10 ** 30
+        assert count_systems(4, force=True) == math.factorial(16)
+
+    def test_all_systems_past_the_guard_need_a_limit(self):
+        assert count_systems(10, force=True) == math.factorial(1024)
+        with pytest.raises(ValueError, match="needs a limit") as e:
+            count_systems(11, force=True)
+        assert not isinstance(e.value, ResourceLimitError)
+
+    def test_cli_prints_the_limit_at_n_62(self, capsys):
+        assert main(["enumerate", "--n", "62", "--force", "--limit", "1", "--count-only"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"n": 62, "count": 1}
+
+    def test_cli_refuses_the_unlimited_count_past_the_guard(self, capsys):
+        assert main(["enumerate", "--n", "11", "--force", "--count-only"]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError",
+                         "message": "n = 11: counting all 2048! systems needs a limit"}
+
+
+class TestDoneOnce:
+    @pytest.mark.parametrize("argv, golden", [
+        (["verify", "--n", "3", "--basis", "ghz"], "verify_ghz.out"),
+        (["verify", "--file", str(GOLDEN / "parity_n3.json")], "verify_parity_n3.out")])
+    def test_verify_scans_the_commutators_once(self, monkeypatch, capsys, argv, golden):
+        calls = []
+        norm = systems.commutator_norm
+        monkeypatch.setattr(systems, "commutator_norm",
+                            lambda a, b: calls.append(1) or norm(a, b))
+        main(argv)
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+        assert len(calls) == 3  # the three pairs of three projectors
+
+    def test_verify_reports_noncommuting_pairs_in_both_places(self, capsys, tmp_path):
+        # the off-diagonal 1e-6 leaves every Rayleigh quotient of the standard basis at 0 or 1
+        first = np.diag([1.0, 1.0, 0.0, 0.0])
+        first[0, 1] = first[1, 0] = 1e-6
+        system = PropositionSystem(2, [first, np.diag([1.0, 0.0, 1.0, 0.0])])
+        path = tmp_path / "noncommuting.json"
+        path.write_text(json.dumps(jsonio.system_to_json(system)))
+        assert main(["verify", "--file", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["failures"] == [
+            "projector 1 is not a projector within 1e-10",
+            "projectors 1 and 2 do not commute (norm 1.000e-06)",
+            "(i) projectors 1,2 do not commute (norm 1.000e-06)"]
+
+    def test_diagonal_codes_raise_the_per_projector_error(self):
+        basis, _ = ghz_basis()
+        system = standard_system(3)
+        with pytest.raises(EigenbasisError) as reference:
+            for i in range(3):
+                eigenvalue_bits(system.diagonals[i], basis.vectors, projector_index=i + 1)
+        with pytest.raises(EigenbasisError) as got:
+            answer_codes(system, basis)
+        assert str(got.value) == str(reference.value) == (
+            "vector is not a 0/1 eigenvector: Rayleigh quotient 0.5 (projector 1, vector 1)")
