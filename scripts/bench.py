@@ -6,11 +6,14 @@
 
 Layer cases call the library (and `cli.main`) in this process: question
 counts, sampling an eigenstate and a random state, measuring a random state,
-the enumeration count, the answer codes of the standard system, `verify`
-and `simulate --state --sample`.  CLI cases run the matching commands as
-`python -m statesieve ...`, start-up included.  Each case runs once to warm
-up, then --repeat times; the best and the median wall time are recorded
-with the sha256 of the case's output, which must be the same on every run.
+the enumeration count, the answer codes of the standard system, routing a
+standard basis state, `verify` and `simulate --state --sample`, and once per
+run `verify --n 16 --force`, past the dense-size guard.  CLI cases run the
+matching commands as `python -m statesieve ...`, start-up included.  Each
+case runs once to warm up, then --repeat times; the best and the median wall
+time are recorded with the sha256 of the case's output, which must be the
+same on every run.  A layer case then runs once more under tracemalloc, which
+records its peak of traced memory in MB (2^20 bytes); that run is not timed.
 
 The result goes to BENCH_<label>.json in the repository root (or --out),
 with the machine and software records of benchmarks/run.py.  Two files
@@ -31,6 +34,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,13 +44,14 @@ import numpy as np  # noqa: E402
 
 import run as harness  # noqa: E402  (benchmarks/run.py)
 from statesieve import (answer_codes, measure_state, question_count_stats,  # noqa: E402
-                        sample_detections, standard_basis, standard_system)
+                        route_basis_state, sample_detections, standard_basis, standard_system)
 from statesieve.cli import main as cli_main  # noqa: E402
 
 STATS_TRIALS = 2000
 SAMPLE_TRIALS = 1000
 ENUM_LIMIT = 1000     # n > 3 is enumerated only with a limit
 SEED = 42
+FORCE_N = 16          # `verify --force` here builds no 2^n x 2^n array
 
 
 def _sha(data: bytes) -> str:
@@ -100,13 +105,25 @@ def cases(n: int, state_path: str):
     yield "layer", "measure_state random", lambda: np.array(
         measure_state(system, state).probabilities).tobytes()
     yield "layer", "answer_codes", lambda: answer_codes(system, standard_basis(n)).tobytes()
+    yield "layer", "route_basis_state", lambda: repr(
+        route_basis_state(system, standard_basis(n), dim // 3 + 1)).encode()
     for name in ("enumerate count", "verify", "simulate state sample"):
         yield "layer", f"cli.main {name}", lambda argv=commands[name]: _cli_stdout(argv)
     for name, argv in commands.items():
         yield "cli", name, lambda argv=argv: _subprocess_stdout(argv)
 
 
-def measure(fn, repeat: int) -> dict:
+def peak_mb(fn) -> float:
+    """Peak traced memory of one run of fn, in MB (2^20 bytes)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 3)
+    finally:
+        tracemalloc.stop()
+
+
+def measure(kind: str, fn, repeat: int) -> dict:
     digest = _sha(fn())  # warm-up run
     times = []
     for _ in range(repeat):
@@ -115,8 +132,11 @@ def measure(fn, repeat: int) -> dict:
         times.append((time.perf_counter() - start) * 1e3)
         if _sha(out) != digest:
             raise RuntimeError("output changed between runs")
-    return {"best_ms": round(min(times), 3), "median_ms": round(statistics.median(times), 3),
-            "sha256": digest}
+    result = {"best_ms": round(min(times), 3), "median_ms": round(statistics.median(times), 3),
+              "sha256": digest}
+    if kind == "layer":
+        result["peak_mb"] = peak_mb(fn)
+    return result
 
 
 def main(argv=None) -> int:
@@ -130,16 +150,23 @@ def main(argv=None) -> int:
         parser.error("--repeat must be >= 1")
 
     results = []
+
+    def run_case(kind, name, n, fn):
+        result = {"kind": kind, "name": name, "n": n, **measure(kind, fn, args.repeat)}
+        results.append(result)
+        peak = f"peak {result['peak_mb']:8.3f} MB" if "peak_mb" in result else " " * 16
+        print(f"{kind:5} n={n:<2} {name:30} best {result['best_ms']:10.3f} ms  "
+              f"median {result['median_ms']:10.3f} ms  {peak}  {result['sha256'][:12]}")
+
     with tempfile.TemporaryDirectory() as work:
         for n in args.n:
             path = Path(work) / f"state_n{n}.json"
             path.write_text(json.dumps({"rows": 2 ** n, "cols": 1, "data": [
                 [z.real, z.imag] for z in _random_state(n).tolist()]}))
             for kind, name, fn in cases(n, str(path)):
-                result = {"kind": kind, "name": name, "n": n, **measure(fn, args.repeat)}
-                results.append(result)
-                print(f"{kind:5} n={n:<2} {name:30} best {result['best_ms']:10.3f} ms  "
-                      f"median {result['median_ms']:10.3f} ms  {result['sha256'][:12]}")
+                run_case(kind, name, n, fn)
+    run_case("layer", "cli.main verify --force", FORCE_N,
+             lambda: _cli_stdout(["verify", "--n", str(FORCE_N), "--force"]))
 
     record = {"label": args.label, "repeat": args.repeat, "ns": args.n,
               "machine": harness.machine_record(), "software": harness.software_record(),

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix, conjugate, is_unitary, max_abs
+from .linalg import (DEFAULT_TOL, as_matrix, conjugate, eigenvalue_bits, is_unitary, max_abs,
+                     quotient_bits)
 from .systems import PropositionSystem, _check_n
 
 SQRT2 = math.sqrt(2.0)
@@ -25,31 +27,79 @@ SQRT6 = math.sqrt(6.0)
 BASIS_KEYS = ("standard", "ghz", "w", "equal_weight")
 
 
-@dataclass(frozen=True, eq=False)
 class Basis:
-    """Ordered orthonormal basis: row k of `vectors` is the k-th state."""
+    """Ordered orthonormal basis: row k of `vectors` is the (k + 1)-th state.
 
-    vectors: np.ndarray
-    labels: tuple[str, ...]
+    `Basis(vectors, labels)` holds the dense (size, dim) array.  The standard
+    basis is stored in identity form instead (`identity` is True): `vector(k)`
+    builds one unit vector, `eigenvalue_bits` reads the Rayleigh quotients off
+    a projector's diagonal, and the dense N x N `vectors` and the N ket
+    `labels` are built only when something asks for them.
+    """
 
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
+    __slots__ = ("identity", "_shape", "_vectors", "_labels")
+
+    def __init__(self, vectors, labels: Sequence[str]):
+        v = np.asarray(vectors, dtype=complex)
         if v.ndim != 2:
             raise ValueError("basis vectors must form a 2-d array")
-        if len(self.labels) != v.shape[0]:
+        if len(labels) != v.shape[0]:
             raise ValueError("one label per basis vector required")
-        object.__setattr__(self, "vectors", v)
+        self.identity = False
+        self._shape = v.shape
+        self._vectors: np.ndarray | None = v
+        self._labels: Sequence[str] | None = labels
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The dense complex (size, dim) array, built once from the identity form if needed."""
+        if self._vectors is None:
+            self._vectors = np.eye(self.dim, dtype=complex)
+        return self._vectors
+
+    @property
+    def labels(self) -> Sequence[str]:
+        """One label per state; the identity form's are ket_label(k, n), built once."""
+        if self._labels is None:
+            n = self.dim.bit_length() - 1
+            self._labels = tuple(ket_label(k, n) for k in range(self.dim))
+        return self._labels
 
     @property
     def size(self) -> int:
-        return self.vectors.shape[0]
+        return self._shape[0]
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return self._shape[1]
+
+    def vector(self, k: int) -> np.ndarray:
+        """Basis state k (1-based) as a complex vector of length dim."""
+        if not 1 <= k <= self.size:
+            raise ValueError(f"index must be in 1..{self.size}, got {k}")
+        if not self.identity:
+            return self.vectors[k - 1]
+        v = np.zeros(self.dim, dtype=complex)
+        v[k - 1] = 1
+        return v
+
+    def eigenvalue_bits(self, p: np.ndarray, tol: float = DEFAULT_TOL,
+                        projector_index: int | None = None) -> np.ndarray:
+        """0/1 eigenvalues of projector p (dense, or a 1-D diagonal) on every
+        basis vector, as linalg.eigenvalue_bits gives them on `vectors`.
+
+        On the identity the Rayleigh quotients are p's real diagonal: the
+        dense products give exactly that, each factor from a unit vector
+        being an exact 0 or 1.
+        """
+        if not self.identity:
+            return eigenvalue_bits(p, self.vectors, tol, projector_index)
+        return quotient_bits(p if p.ndim == 1 else np.real(np.diag(p)), tol, projector_index)
 
     def gram_defect(self) -> float:
         """Max deviation of the Gram matrix from the identity."""
+        if self.identity:
+            return 0.0  # unit vectors are exactly orthonormal
         g = np.conj(self.vectors) @ self.vectors.T
         return max_abs(g - np.eye(self.size))
 
@@ -119,11 +169,13 @@ def combo_label(vec: np.ndarray, n: int, tol: float = 1e-9) -> str:
 
 
 def standard_basis(n: int, force: bool = False) -> Basis:
-    """The N = 2^n canonical unit vectors labeled |+..+> down to |-..->."""
+    """The N = 2^n canonical unit vectors labeled |+..+> down to |-..->,
+    in identity form: neither the N x N array nor the labels are built
+    until they are read."""
     dim = _check_n(n, force)
-    vectors = np.eye(dim, dtype=complex)
-    labels = tuple(ket_label(k, n) for k in range(dim))
-    return Basis(vectors, labels)
+    basis = Basis.__new__(Basis)
+    basis.identity, basis._shape, basis._vectors, basis._labels = True, (dim, dim), None, None
+    return basis
 
 
 def basis_from_unitary(u: NamedUnitary, n: int,

@@ -61,10 +61,13 @@ def _resolve_tol(args) -> float:
     return DEFAULT_TOL
 
 
-def _limit_arg(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"--limit must be an integer >= 0, got {text!r}")
-    return int(text)
+def _count_arg(flag: str):
+    """An argparse type for `flag`: an integer >= 0, else a usage error naming the flag."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal():
+            raise argparse.ArgumentTypeError(f"{flag} must be an integer >= 0, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _read_json(path: str, decode):
@@ -225,9 +228,9 @@ def _cmd_simulate(args) -> int:
     if (args.index is None) == (args.state is None):
         raise ValueError("simulate needs exactly one of --index or --state")
     if args.index is not None:
-        state = basis.vectors[args.index - 1] if 1 <= args.index <= basis.size else None
-        if state is None:
+        if not 1 <= args.index <= basis.size:
             raise ValueError(f"--index must be in 1..{basis.size}, got {args.index}")
+        state = basis.vector(args.index)
         outcome = route_basis_state(system, basis, args.index, tol)
         payload: dict[str, Any] = jsonio.outcome_to_json(outcome)
         payload["state"] = basis.labels[args.index - 1]
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common],
                        help="stream the N! equivalent diagonal systems")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--limit", type=_limit_arg, default=None)
+    p.add_argument("--limit", type=_count_arg("--limit"), default=None)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -334,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="JSON vector file to measure")
     p.add_argument("--sample", type=int, default=0,
                    help="also draw this many sequential-measurement samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_arg("--seed"), default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("stats", parents=[common],
                        help="question counts: naive strategy vs the sieve")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_arg("--seed"), default=0)
     p.add_argument("--infer-last", action="store_true",
                    help="do not count the logically forced final question")
     p.set_defaults(func=_cmd_stats)

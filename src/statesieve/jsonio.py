@@ -107,7 +107,7 @@ def partition_from_json(obj: dict[str, Any]) -> Partition:
 
 def basis_to_json(b: Basis) -> dict[str, Any]:
     return {"labels": list(b.labels),
-            "vectors": [vector_to_json(b.vectors[k]) for k in range(b.size)]}
+            "vectors": [vector_to_json(b.vector(k)) for k in range(1, b.size + 1)]}
 
 
 def basis_from_json(obj: dict[str, Any]) -> Basis:

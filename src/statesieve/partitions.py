@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix, eigenvalue_bits
+from .linalg import DEFAULT_TOL, as_matrix
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -78,7 +78,7 @@ def partition_from_projector(p, basis: "Basis",
     p = as_matrix(p)
     if p.shape[0] != basis.dim:
         raise ValueError(f"dimension mismatch: projector {p.shape[0]}, basis {basis.dim}")
-    return Partition.from_codes(eigenvalue_bits(p, basis.vectors, tol))
+    return Partition.from_codes(basis.eigenvalue_bits(p, tol))
 
 
 def meet(a: Partition, b: Partition) -> Partition:

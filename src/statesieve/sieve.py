@@ -83,9 +83,7 @@ def route_basis_state(system: PropositionSystem, basis: "Basis", index: int,
     if system.dim != basis.dim:
         raise ValueError(
             f"dimension mismatch: system {system.dim}, basis {basis.dim}")
-    if not 1 <= index <= basis.size:
-        raise ValueError(f"index must be in 1..{basis.size}, got {index}")
-    v = basis.vectors[index - 1]
+    v = basis.vector(index)
     bits = tuple(
         eigenvalue_bit(system.operator(i), v, tol, projector_index=i + 1, vector_index=index)
         for i in range(system.size))
@@ -113,24 +111,23 @@ def _branch_weights(system: PropositionSystem, state: np.ndarray) -> list[np.nda
 
     Level i + 1 splits branch j of level i, vector v, into P_i v (branch 2j)
     and v - P_i v (branch 2j + 1), so after n levels the leaf of answer word
-    b sits at detector(b) - 1.  At most two levels of vectors are held at
-    once, none of the last level (only its weights are read) and none that
-    is exactly zero (off an eigenstate's path): every branch below one
-    weighs 0.0, which is what its vdot would give.
+    b sits at detector(b) - 1.  The tree is walked depth-first, so at most
+    n + 1 vectors are held at once: the current one and, per level, the
+    siblings still to visit.  None is kept of the last level (only its
+    weights are read) or that is exactly zero (off an eigenstate's path):
+    every branch below one weighs 0.0, which is what its vdot would give.
     """
-    branches = {0: state}
-    weights = [np.array([np.real(np.vdot(state, state))])]
-    for i in range(system.size):
-        level = np.zeros(2 * len(weights[-1]))
-        nxt = {}
-        for j, v in branches.items():
-            yes = system.apply(i, v)
-            for k, b in ((2 * j, yes), (2 * j + 1, v - yes)):
-                level[k] = np.real(np.vdot(b, b))
-                if i + 1 < system.size and (level[k] or b.any()):
-                    nxt[k] = b
-        branches = nxt
-        weights.append(level)
+    levels = system.size
+    weights = [np.zeros(2 ** i) for i in range(levels + 1)]
+    weights[0][0] = np.real(np.vdot(state, state))
+    stack = [(0, 0, state)] if levels else []
+    while stack:
+        i, j, v = stack.pop()
+        yes = system.apply(i, v)
+        for k, b in ((2 * j, yes), (2 * j + 1, v - yes)):
+            weights[i + 1][k] = np.real(np.vdot(b, b))
+            if i + 1 < levels and (weights[i + 1][k] or b.any()):
+                stack.append((i + 1, k, b))
     return weights
 
 

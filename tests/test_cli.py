@@ -120,6 +120,10 @@ class TestVerify:
     def test_zero_tol_certifies_an_exact_system(self, capsys):
         assert run_json(capsys, "verify", "--n", "2", "--tol", "0")["certified"]
 
+    def test_n_16_under_force_needs_no_dense_identity(self, capsys):
+        payload = run_json(capsys, "verify", "--n", "16", "--force")
+        assert payload["certified"] and payload["separates"] and payload["failures"] == []
+
     def test_deeply_nested_file_is_a_validation_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
@@ -247,12 +251,31 @@ class TestSimulate:
         assert json.loads(err) == {"error": {"type": "MemoryError",
                                              "message": "Unable to allocate 16.0 TiB"}}
 
+    def test_routes_and_samples_at_n_16_under_force(self, capsys):
+        payload = run_json(capsys, "simulate", "--n", "16", "--force", "--index", "777",
+                           "--sample", "50", "--seed", "1")
+        assert payload["detector"] == 777 and payload["state"] == "|++++++--++++-+++>"
+        counts = payload["sample"]["counts"]
+        assert len(counts) == 2 ** 16 and counts[776] == sum(counts) == 50
+
     def test_needs_exactly_one_input(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--n", "2")
         assert code == 3
         code, _, _ = run_cli(capsys, "simulate", "--n", "2", "--index", "1",
                              "--state", "whatever.json")
         assert code == 3
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    @pytest.mark.parametrize("command", [["stats", "--n", "2", "--trials", "5"],
+                                         ["simulate", "--n", "2", "--index", "1",
+                                          "--sample", "10"]])
+    def test_bad_seed_is_a_usage_error(self, capsys, command, seed):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", seed])
+        assert exc.value.code == 2
+        assert f"--seed must be an integer >= 0, got '{seed}'" in capsys.readouterr().err
 
 
 class TestStats:

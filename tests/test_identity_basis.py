@@ -1,0 +1,131 @@
+"""The standard basis in identity form against its dense twin `Basis(np.eye(N), labels)`,
+and the commands that must never build the N x N identity."""
+
+import contextlib
+import io
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import haar_unitary
+from statesieve import (Basis, PropositionSystem, answer_codes, partition_from_projector,
+                        permute_system, route_basis_state, standard_basis, standard_system,
+                        transformed_system)
+from statesieve.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def dense_twin(basis: Basis) -> Basis:
+    return Basis(np.eye(basis.dim, dtype=complex), tuple(basis.labels))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type, text and indices of the EigenbasisError (or other
+    ValueError) it raises."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as e:
+        return (type(e).__name__, str(e), getattr(e, "projector_index", None),
+                getattr(e, "vector_index", None))
+
+
+@st.composite
+def systems_and_indices(draw):
+    """A system of one of five kinds, some 1-based basis indices and a tolerance.
+
+    "rotated" turns positions a and b into each other by a plane rotation, so the
+    quotients there leave {0, 1} for every projector whose codes differ at a, b;
+    "haar" conjugates by a random unitary, so no basis vector is an eigenvector.
+    """
+    n = draw(st.integers(1, 6))
+    dim = 2 ** n
+    kind = draw(st.sampled_from(["standard", "permuted", "dense twin", "rotated", "haar"]))
+    system = standard_system(n)
+    if kind != "standard":
+        system = permute_system(system, draw(st.permutations(range(dim))))
+    if kind == "dense twin":
+        system = PropositionSystem(n, system.projectors)
+    elif kind == "rotated":
+        a, b = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        u = np.eye(dim, dtype=complex)
+        u[[a, a, b, b], [a, b, a, b]] = [math.cos(angle), -math.sin(angle),
+                                         math.sin(angle), math.cos(angle)]
+        system = transformed_system(u, system)
+    elif kind == "haar":
+        system = transformed_system(haar_unitary(draw(st.integers(0, 2 ** 16)), dim), system)
+    indices = draw(st.lists(st.integers(1, dim), min_size=1, max_size=4))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-3, 0.6]))
+    return system, indices, tol
+
+
+class TestIdentityForm:
+    @settings(max_examples=150, deadline=None)
+    @given(systems_and_indices())
+    def test_equals_the_dense_twin(self, case):
+        system, indices, tol = case
+        basis = standard_basis(system.n)
+        twin = dense_twin(basis)
+        codes, twin_codes = outcome(answer_codes, system, basis, tol), outcome(
+            answer_codes, system, twin, tol)
+        if codes[0] == "ok":
+            assert twin_codes[0] == "ok"
+            assert codes[1].dtype == twin_codes[1].dtype
+            assert codes[1].tobytes() == twin_codes[1].tobytes()
+        else:
+            assert codes == twin_codes
+        for k in indices:
+            assert (outcome(route_basis_state, system, basis, k, tol)
+                    == outcome(route_basis_state, system, twin, k, tol))
+            assert basis.vector(k).tobytes() == twin.vector(k).tobytes()
+        for p in system.projectors:
+            assert (outcome(partition_from_projector, p, basis, tol)
+                    == outcome(partition_from_projector, p, twin, tol))
+        assert basis.gram_defect() == twin.gram_defect() == 0.0
+        assert (basis.size, basis.dim) == (twin.size, twin.dim)
+        assert basis.vectors.tobytes() == twin.vectors.tobytes()
+
+    def test_builds_the_dense_identity_once_on_first_read(self):
+        basis = standard_basis(3)
+        assert basis.identity and basis._vectors is None and basis._labels is None
+        assert basis.vectors is basis.vectors
+        assert basis.vectors.dtype == complex and np.array_equal(basis.vectors, np.eye(8))
+        assert basis.labels[0] == "|+++>" and basis.labels[-1] == "|--->"
+
+    @pytest.mark.parametrize("k", [0, 9, -1])
+    def test_vector_index_out_of_range(self, k):
+        for basis in (standard_basis(3), dense_twin(standard_basis(3))):
+            with pytest.raises(ValueError, match=rf"index must be in 1\.\.8, got {k}"):
+                basis.vector(k)
+
+    def test_vector_of_a_dense_basis_is_its_row(self):
+        rows = haar_unitary(3, 4)
+        basis = Basis(rows, ("a", "b", "c", "d"))
+        assert not basis.identity and basis.size == basis.dim == 4
+        assert [basis.vector(k).tobytes() for k in range(1, 5)] == [r.tobytes() for r in rows]
+
+
+@pytest.fixture
+def dense_vectors_refused(monkeypatch):
+    """Fail the test if anything reads `Basis.vectors`."""
+    def refuse(self):
+        raise AssertionError("basis.vectors was read")
+    monkeypatch.setattr(Basis, "vectors", property(refuse))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--n", "10"], 0),
+    (["verify", "--file", str(GOLDEN / "parity_n3.json")], 1),  # does not separate
+    (["partition", "--n", "3", "--perm", "2,1,3,4,5,6,8,7"], 0),
+    (["transform", "--n", "4", "--emit", "partitions,meet,codes"], 0),
+    (["simulate", "--n", "3", "--index", "3", "--sample", "20", "--seed", "1"], 0),
+    (["simulate", "--n", "2", "--state", str(GOLDEN / "state.json"), "--sample", "20"], 0),
+])
+def test_standard_basis_commands_never_read_the_dense_vectors(dense_vectors_refused, argv, code):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == code

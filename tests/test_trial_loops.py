@@ -3,6 +3,7 @@ closed-form enumeration count, and the work each command does once."""
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,24 @@ def reference_stats(n, trials, seed, infer_last):
         order = rng.permutation(dim) + 1
         asked.append(naive_search(n, target, order.tolist(), infer_last).questions_asked)
     return sum(asked) / trials, max(asked)
+
+
+def breadth_first_weights(system, state):
+    """The branch-weight tree level by level, holding every vector of a level."""
+    branches = {0: state}
+    weights = [np.array([np.real(np.vdot(state, state))])]
+    for i in range(system.size):
+        level = np.zeros(2 * len(weights[-1]))
+        nxt = {}
+        for j, v in branches.items():
+            yes = system.apply(i, v)
+            for k, b in ((2 * j, yes), (2 * j + 1, v - yes)):
+                level[k] = np.real(np.vdot(b, b))
+                if i + 1 < system.size and (level[k] or b.any()):
+                    nxt[k] = b
+        branches = nxt
+        weights.append(level)
+    return weights
 
 
 class TestQuestionCounts:
@@ -62,6 +81,24 @@ class TestCascade:
         permuted = permute_system(standard_system(n), np.random.default_rng(n).permutation(dim))
         for system in (standard_system(n), permuted, PropositionSystem(n, permuted.projectors)):
             assert sample_detections(system, np.zeros(dim), 40, 5) == [0] * (dim - 1) + [40]
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_depth_first_tree_holds_one_path_of_vectors(self, permuted):
+        rng = np.random.default_rng(10)
+        system = standard_system(10)
+        if permuted:
+            system = permute_system(system, rng.permutation(1024))
+        state = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        state /= np.linalg.norm(state)
+        tracemalloc.start()
+        try:
+            weights = sieve._branch_weights(system, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # a whole level of the tree is 512 vectors, 8 MB
+        reference = breadth_first_weights(system, state)
+        assert [w.tobytes() for w in weights] == [w.tobytes() for w in reference]
 
     def test_measure_and_sample_equals_the_two_calls(self):
         for name, system, state in cases():
