@@ -7,8 +7,11 @@
 Layer cases call the library (and `cli.main`) in this process: question
 counts, sampling an eigenstate and a random state, measuring a random state,
 the enumeration count, the answer codes of the standard system, routing a
-standard basis state, `verify` and `simulate --state --sample`, and once per
-run `verify --n 16 --force`, past the dense-size guard.  CLI cases run the
+standard basis state, `verify` and `simulate --state --sample`.  Once per
+run come `verify --n 16 --force`, past the dense-size guard,
+`question_count_stats` at n = 3 with 50000 trials (the slowest `stats`
+command of the cascade_sample workload) and `sample_detections` of a random
+n = 3 state with 5 trials, where the fixed cost of seeding a call shows.  CLI cases run the
 matching commands as `python -m statesieve ...`, start-up included.  Each
 case runs once to warm up, then --repeat times; the best and the median wall
 time are recorded with the sha256 of the case's output, which must be the
@@ -52,6 +55,8 @@ SAMPLE_TRIALS = 1000
 ENUM_LIMIT = 1000     # n > 3 is enumerated only with a limit
 SEED = 42
 FORCE_N = 16          # `verify --force` here builds no 2^n x 2^n array
+LONG_STATS_TRIALS = 50000
+SHORT_SAMPLE_TRIALS = 5
 
 
 def _sha(data: bytes) -> str:
@@ -167,6 +172,12 @@ def main(argv=None) -> int:
                 run_case(kind, name, n, fn)
     run_case("layer", "cli.main verify --force", FORCE_N,
              lambda: _cli_stdout(["verify", "--n", str(FORCE_N), "--force"]))
+    system, state = standard_system(3), _random_state(3)
+    run_case("layer", f"question_count_stats {LONG_STATS_TRIALS} trials", 3,
+             lambda: repr(question_count_stats(3, LONG_STATS_TRIALS, SEED)).encode())
+    run_case("layer", f"sample_detections {SHORT_SAMPLE_TRIALS} trials", 3,
+             lambda: json.dumps(sample_detections(system, state, SHORT_SAMPLE_TRIALS,
+                                                  SEED)).encode())
 
     record = {"label": args.label, "repeat": args.repeat, "ns": args.n,
               "machine": harness.machine_record(), "software": harness.software_record(),

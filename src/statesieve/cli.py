@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="route a basis state or measure an arbitrary one")
     p.add_argument("--index", type=int, help="1-based basis state to route")
     p.add_argument("--state", help="JSON vector file to measure")
-    p.add_argument("--sample", type=int, default=0,
+    p.add_argument("--sample", type=_count_arg("--sample"), default=0,
                    help="also draw this many sequential-measurement samples")
     p.add_argument("--seed", type=_count_arg("--seed"), default=0)
     p.set_defaults(func=_cmd_simulate)
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", parents=[common],
                        help="question counts: naive strategy vs the sieve")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_count_arg("--trials"), default=10000)
     p.add_argument("--seed", type=_count_arg("--seed"), default=0)
     p.add_argument("--infer-last", action="store_true",
                    help="do not count the logically forced final question")

@@ -278,6 +278,26 @@ class TestSeed:
         assert f"--seed must be an integer >= 0, got '{seed}'" in capsys.readouterr().err
 
 
+class TestTrialCounts:
+    @pytest.mark.parametrize("command, flag, count", [
+        (["stats", "--n", "2"], "--trials", "-1"),
+        (["simulate", "--n", "2", "--index", "1"], "--sample", "-3")])
+    def test_negative_count_is_a_usage_error(self, capsys, command, flag, count):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, count])
+        assert exc.value.code == 2
+        assert f"{flag} must be an integer >= 0, got '{count}'" in capsys.readouterr().err
+
+    def test_zero_trials_is_a_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "stats", "--n", "2", "--trials", "0")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["message"] == "trials must be >= 1"
+
+    def test_zero_sample_draws_no_sample(self, capsys):
+        payload = run_json(capsys, "simulate", "--n", "2", "--index", "1", "--sample", "0")
+        assert payload == {"answer_bits": [1, 1], "detector": 1, "state": "|++>"}
+
+
 class TestStats:
     def test_emits_both_strategies(self, capsys):
         payload = run_json(capsys, "stats", "--n", "2", "--trials", "200",

@@ -34,6 +34,23 @@ def reference_stats(n, trials, seed, infer_last):
     return sum(asked) / trials, max(asked)
 
 
+def reference_walk(weights, dim, trials, seed):
+    """sieve._walk with a fresh np.random.default_rng(seed + t) per trial."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = [(below[0::2] / above).tolist() for above, below in zip(weights, weights[1:])]
+    counts = [0] * dim
+    for t in range(trials):
+        j = 0
+        for r, yes in zip(np.random.default_rng(seed + t).random(len(ratios)).tolist(), ratios):
+            j = 2 * j + (not r < yes[j])
+        counts[j] += 1
+    return counts
+
+
+# past one chunk of seeds, and from a 1-word to a 2-word seed
+CHUNK_CROSSING_SEEDS = [3, 2 ** 32 - 1000]
+
+
 def breadth_first_weights(system, state):
     """The branch-weight tree level by level, holding every vector of a level."""
     branches = {0: state}
@@ -60,6 +77,22 @@ class TestQuestionCounts:
         naive = question_count_stats(n, 300, seed, infer_last=infer_last).naive
         assert (naive.mean, naive.max) == reference_stats(n, 300, seed, infer_last)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("seed", CHUNK_CROSSING_SEEDS)
+    def test_equals_the_naive_search_loop_across_seed_chunks(self, n, seed):
+        naive = question_count_stats(n, 2100, seed).naive
+        assert (naive.mean, naive.max) == reference_stats(n, 2100, seed, False)
+
+    def test_memory_stays_within_one_chunk_of_seeds(self):
+        question_count_stats(3, 1, 5)  # numpy's one-time allocations are not the loop's
+        tracemalloc.start()
+        try:
+            question_count_stats(3, 50000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # the states of all 50000 seeds at once peak near 18 MB
+
     @pytest.mark.parametrize("n", [1, 3, 10, 16])
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_one_draw_of_n_uniforms_equals_n_draws(self, n, seed):
@@ -74,6 +107,18 @@ class TestCascade:
         got = {name: digest(system, state) for name, system, state in cases()}
         assert got.keys() == recorded.keys()
         assert [name for name in got if got[name] != recorded[name]] == []
+
+    @pytest.mark.parametrize("seed", CHUNK_CROSSING_SEEDS)
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_counts_equal_the_reference_walk_across_seed_chunks(self, seed, permuted):
+        rng = np.random.default_rng(6)
+        system = standard_system(6)
+        if permuted:
+            system = permute_system(system, rng.permutation(64))
+        state = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        state /= np.linalg.norm(state)
+        expected = reference_walk(sieve._branch_weights(system, state), 64, 2100, seed)
+        assert sample_detections(system, state, 2100, seed) == expected
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_zero_state_sends_every_trial_to_the_last_detector(self, n):
