@@ -10,8 +10,9 @@ the enumeration count, the answer codes of the standard system, routing a
 standard basis state, `verify` and `simulate --state --sample`.  Once per
 run come `verify --n 16 --force`, past the dense-size guard,
 `question_count_stats` at n = 3 with 50000 trials (the slowest `stats`
-command of the cascade_sample workload) and `sample_detections` of a random
-n = 3 state with 5 trials, where the fixed cost of seeding a call shows.  CLI cases run the
+command of the cascade_sample workload), `sample_detections` of a random
+n = 3 state with 5 trials, where the fixed cost of seeding a call shows, and
+the n = 10 sigma-product proposition of `xyyxyyxyyx`.  CLI cases run the
 matching commands as `python -m statesieve ...`, start-up included.  Each
 case runs once to warm up, then --repeat times; the best and the median wall
 time are recorded with the sha256 of the case's output, which must be the
@@ -47,7 +48,8 @@ import numpy as np  # noqa: E402
 
 import run as harness  # noqa: E402  (benchmarks/run.py)
 from statesieve import (answer_codes, measure_state, question_count_stats,  # noqa: E402
-                        route_basis_state, sample_detections, standard_basis, standard_system)
+                        route_basis_state, sample_detections, sigma_product_proposition,
+                        standard_basis, standard_system)
 from statesieve.cli import main as cli_main  # noqa: E402
 
 STATS_TRIALS = 2000
@@ -57,6 +59,7 @@ SEED = 42
 FORCE_N = 16          # `verify --force` here builds no 2^n x 2^n array
 LONG_STATS_TRIALS = 50000
 SHORT_SAMPLE_TRIALS = 5
+PAULI_AXES = "xyyxyyxyyx"  # the permuted triple's pattern at n = 10
 
 
 def _sha(data: bytes) -> str:
@@ -178,6 +181,8 @@ def main(argv=None) -> int:
     run_case("layer", f"sample_detections {SHORT_SAMPLE_TRIALS} trials", 3,
              lambda: json.dumps(sample_detections(system, state, SHORT_SAMPLE_TRIALS,
                                                   SEED)).encode())
+    run_case("layer", f"sigma_product_proposition {PAULI_AXES}", len(PAULI_AXES),
+             lambda: sigma_product_proposition(PAULI_AXES).tobytes())
 
     record = {"label": args.label, "repeat": args.repeat, "ns": args.n,
               "machine": harness.machine_record(), "software": harness.software_record(),

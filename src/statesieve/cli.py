@@ -252,7 +252,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stats(args) -> int:
     summary = question_count_stats(args.n, args.trials, args.seed,
-                                   infer_last=args.infer_last)
+                                   infer_last=args.infer_last, force=args.force)
     _emit(args, [jsonio.stats_to_json(summary.naive),
                  jsonio.stats_to_json(summary.sieve)])
     return EXIT_OK

@@ -1,12 +1,13 @@
 """Single-site Pauli embeddings and propositions of the form (1 + product)/2.
 
 An axis assignment gives one Pauli axis per particle site (serialized as a
-string like "xyy"); the product of the embedded matrices is an involution,
-so half of (identity + product) is a projector of trace 2^(n-1).
+string like "xyy"); the Kronecker product of the site Paulis is an
+involution, so half of (identity + product) is a projector of trace 2^(n-1).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -82,14 +83,13 @@ def sigma_product_proposition(assignment: str | Sequence[str]) -> np.ndarray:
     """Projector (I + sigma_product)/2 for one axis per particle site.
 
     The assignment fixes the axis measured on each site; its length sets
-    the particle count n, and the result has trace 2^(n-1).
+    the particle count n, and the result has trace 2^(n-1).  The product
+    sigma_a1 (x) ... (x) sigma_an is the Kronecker product of the site
+    Paulis, built with `tensor`; it equals the product of their `embed`s.
     """
     axes = normalize_axes(assignment)
-    n = len(axes)
-    dim = _check_n(n)
-    product = np.eye(dim, dtype=complex)
-    for site, axis in enumerate(axes, start=1):
-        product = product @ embed(axis, site, n)
+    dim = _check_n(len(axes))
+    product = functools.reduce(tensor, map(pauli, axes))
     return (np.eye(dim) + product) / 2.0
 
 

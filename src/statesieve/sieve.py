@@ -346,7 +346,7 @@ def naive_search(n: int, target_index: int, question_order: Sequence[int],
 
 
 def question_count_stats(n: int, trials: int, seed: int,
-                         infer_last: bool = False) -> StatsSummary:
+                         infer_last: bool = False, force: bool = False) -> StatsSummary:
     """Mean/max question counts: sampled naive strategy vs. the n-step sieve.
 
     Naive trials draw a uniform target and a uniform question order.
@@ -356,9 +356,9 @@ def question_count_stats(n: int, trials: int, seed: int,
     are numpy's own integers and permutation calls.  The questions asked
     are the target's 1-based position in the order (naive_search's count,
     without its checks).  The sieve side is exact: every search takes n
-    questions.
+    questions.  Past the dense-size guard it needs force, as standard_system does.
     """
-    dim = _check_n(n)
+    dim = _check_n(n, force)
     _check_trials(trials)
     total = 0
     worst = 0

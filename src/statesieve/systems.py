@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, commutator_norm, is_projector, max_abs, quotient_bits
+from .linalg import DEFAULT_TOL, commutator_norm, is_projector, max_abs
 from .partitions import Partition, is_atomic
 
 if TYPE_CHECKING:
@@ -236,11 +236,6 @@ def answer_codes(system: PropositionSystem, basis: "Basis",
         raise ValueError(
             f"dimension mismatch: system {system.dim}, basis {basis.dim}")
     codes = np.zeros((basis.size, system.size), dtype=int)
-    if system.diagonals is not None and not basis.identity:
-        squared = np.abs(basis.vectors) ** 2  # once for all n quotients |V|^2 @ d
-        for i, d in enumerate(system.diagonals):
-            codes[:, i] = quotient_bits(squared @ d, tol, projector_index=i + 1)
-        return codes
     for i in range(system.size):
         codes[:, i] = basis.eigenvalue_bits(system.operator(i), tol, projector_index=i + 1)
     return codes

@@ -307,6 +307,16 @@ class TestStats:
         assert by_name["naive"]["seed"] == 6
         assert 1.0 <= by_name["naive"]["mean"] <= 4.0
 
+    def test_n_16_needs_force(self, capsys):
+        argv = ["stats", "--n", "16", "--trials", "10", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "override with force" in json.loads(err)["error"]["message"]
+        payload = run_json(capsys, *argv, "--force")
+        by_name = {entry["strategy"]: entry for entry in payload}
+        assert by_name["sieve"]["mean"] == 16.0 and by_name["sieve"]["max"] == 16
+        assert by_name["naive"]["trials"] == 10
+
 
 class TestPauli:
     def test_axis_string_proposition(self, capsys):

@@ -1,3 +1,7 @@
+import functools
+import itertools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +94,16 @@ class TestSigmaProduct:
             sigma_product_proposition("")
         with pytest.raises(ValueError):
             sigma_product_proposition("xq")
+
+    @pytest.mark.parametrize("axes", [
+        *("".join(t) for n in range(1, 6) for t in itertools.product("xyz", repeat=n)),
+        "xyyxyyx"])
+    def test_kronecker_product_equals_the_embed_product(self, axes):
+        n = len(axes)
+        product = functools.reduce(operator.matmul, (embed(a, site, n)
+                                                     for site, a in enumerate(axes, start=1)))
+        expected = (np.eye(2 ** n) + product) / 2.0
+        assert sigma_product_proposition(axes).tobytes() == expected.tobytes()
 
     @given(axes=st.text(alphabet="xyz", min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)

@@ -220,6 +220,7 @@ class TestQuestionCountStats:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             question_count_stats(11, trials=1, seed=0)
+        assert question_count_stats(11, trials=1, seed=0, force=True).sieve.mean == 11.0
 
     def test_trials_guard(self):
         with pytest.raises(ValueError, match="trials"):
