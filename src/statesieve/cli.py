@@ -2,8 +2,8 @@
 simulate, stats, and pauli subcommands with JSON (default) or text output.
 
 Exit codes: 0 success, 1 a verified property failed, 2 usage errors,
-3 validation/resource errors.  SIEVE_TOL overrides the default tolerance;
-an explicit --tol wins over the environment.
+3 validation/resource errors, 141 stdout closed by its reader.  SIEVE_TOL
+overrides the default tolerance; an explicit --tol wins over the environment.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .bases import (BASIS_KEYS, Basis, NamedUnitary, named_basis, standard_basis
                     transformed_system)
 from .linalg import DEFAULT_TOL, EigenbasisError
 from .partitions import Partition, is_atomic
-from .paulis import CERECEDA_AXES, cereceda_system, sigma_product_proposition
+from .paulis import CERECEDA_AXES, cereceda_system, normalize_axes, sigma_product_proposition
 from .sieve import (measure_and_sample, measure_state, question_count_stats, route_basis_state,
                     sample_detections)
-from .systems import (PropositionSystem, _certification_failures, _noncommuting_pairs,
+from .systems import (MAX_N, PropositionSystem, _certification_failures, _noncommuting_pairs,
                       _requirement_report, answer_codes, certify_system, count_systems,
                       enumerate_systems, minimality_certificate, permute_system,
                       standard_system)
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: how a C tool ends when its reader goes away
 
 
 def _tolerance(text: str, source: str) -> float:
@@ -96,6 +97,14 @@ def _build_system(args, tol: float) -> tuple[PropositionSystem, Basis, NamedUnit
     if unitary is not None:
         system = transformed_system(unitary, system, tol)
     return system, basis, unitary
+
+
+def _check_dense_limit(args, n: int) -> None:
+    """pauli and minimality build dense matrices, and --force does not lift their
+    n <= MAX_N guard: name that limit rather than advise --force."""
+    if n > MAX_N:
+        raise ValueError(f"{args.command} is limited to n <= {MAX_N}, even with --force; "
+                         f"got n = {n}")
 
 
 def _fmt_complex(z: complex) -> str:
@@ -270,13 +279,16 @@ def _cmd_pauli(args) -> int:
         return EXIT_OK if not failures else EXIT_PROPERTY_VIOLATION
     if not args.axes:
         raise ValueError("pauli needs --axes or --cereceda")
-    p = sigma_product_proposition(args.axes)
+    axes = normalize_axes(args.axes)
+    _check_dense_limit(args, len(axes))
+    p = sigma_product_proposition(axes)
     payload = {"axes": args.axes, "proposition": jsonio.matrix_to_json(p)}
     _emit(args, payload)
     return EXIT_OK
 
 
 def _cmd_minimality(args) -> int:
+    _check_dense_limit(args, args.n)
     report = minimality_certificate(args.n)
     _emit(args, jsonio.minimality_report_to_json(report))
     return EXIT_OK if report.ok else EXIT_PROPERTY_VIOLATION
@@ -368,7 +380,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError, MemoryError) as e:
         error = {"error": {"type": type(e).__name__, "message": str(e)}}
         print(json.dumps(error), file=sys.stderr)

@@ -332,11 +332,27 @@ class TestPauli:
         code, _, _ = run_cli(capsys, "pauli")
         assert code == 3
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_size_error_names_the_commands_limit(self, capsys, force):
+        code, out, err = run_cli(capsys, "pauli", "--axes", "x" * 11, *force)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": "pauli is limited to n <= 10, even with --force; got n = 11"}
+
 
 class TestMinimality:
     def test_report(self, capsys):
         payload = run_json(capsys, "minimality", "--n", "2")
         assert payload["ok"] and payload["exhaustive_scanned"] == 16
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_size_error_names_the_commands_limit(self, capsys, force):
+        code, out, err = run_cli(capsys, "minimality", "--n", "11", *force)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": "minimality is limited to n <= 10, even with --force; got n = 11"}
 
 
 class TestTextFormat:
@@ -357,3 +373,15 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout) == {"n": 1, "count": 2}
+
+
+def test_a_closed_stdout_ends_quietly_with_141():
+    # the full output is tens of MB, so the pipe fills long before the command ends
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "statesieve", "enumerate", "--n", "3", "--limit", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""

@@ -1,11 +1,11 @@
-"""sieve._trial_generators against np.random.default_rng(seed + t), trial by trial."""
+"""_trials.trial_generators against np.random.default_rng(seed + t), trial by trial."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from statesieve import question_count_stats, sample_detections, sieve, standard_system
+from statesieve import _trials, question_count_stats, sample_detections, standard_system
 
 # seed ranges where the entropy gains a 32-bit word: at 2^128 it outgrows
 # SeedSequence's pool of four words, whose later words are mixed in another loop
@@ -13,7 +13,7 @@ WORD_BOUNDARIES = [0, 2 ** 32, 2 ** 64, 2 ** 128, 2 ** 160]
 
 
 def yielded_states(seed, trials):
-    return [rng.bit_generator.state for rng in sieve._trial_generators(seed, trials)]
+    return [rng.bit_generator.state for rng in _trials.trial_generators(seed, trials)]
 
 
 def default_rng_states(seed, trials):
@@ -41,7 +41,7 @@ class TestBadSeeds:
     def test_errors_are_default_rngs(self, seed):
         with pytest.raises((TypeError, ValueError)) as expected:
             np.random.default_rng(seed)
-        calls = [lambda: list(sieve._trial_generators(seed, 3)),
+        calls = [lambda: list(_trials.trial_generators(seed, 3)),
                  lambda: question_count_stats(2, 3, seed),
                  lambda: sample_detections(standard_system(2), np.eye(4)[0], 3, seed)]
         for call in calls:

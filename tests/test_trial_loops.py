@@ -35,7 +35,7 @@ def reference_stats(n, trials, seed, infer_last):
 
 
 def reference_walk(weights, dim, trials, seed):
-    """sieve._walk with a fresh np.random.default_rng(seed + t) per trial."""
+    """_trials.walk with a fresh np.random.default_rng(seed + t) per trial."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = [(below[0::2] / above).tolist() for above, below in zip(weights, weights[1:])]
     counts = [0] * dim
