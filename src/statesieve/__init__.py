@@ -10,7 +10,7 @@ from .systems import (ColumnCode, MinimalityReport, PropositionSystem,
                       certify_system, column_codes, count_systems, enumerate_systems,
                       minimality_certificate, permute_system, separates,
                       standard_diagonals, standard_system, system_from_diagonals,
-                      system_partitions, verify_requirements)
+                      system_partitions, verify_requirements, verify_system)
 from .bases import (Basis, NamedUnitary, basis_from_unitary, combo_label,
                     equal_weight_basis, equal_weight_unitary, ghz_basis,
                     ghz_unitary, ket_label, named_basis, standard_basis,

@@ -18,15 +18,14 @@ from typing import Any, Sequence
 from . import jsonio
 from .bases import (BASIS_KEYS, Basis, NamedUnitary, named_basis, standard_basis,
                     transformed_system)
-from .linalg import DEFAULT_TOL, EigenbasisError
+from .linalg import DEFAULT_TOL
 from .partitions import Partition, is_atomic
 from .paulis import CERECEDA_AXES, cereceda_system, normalize_axes, sigma_product_proposition
 from .sieve import (measure_and_sample, measure_state, question_count_stats, route_basis_state,
                     sample_detections)
-from .systems import (MAX_N, PropositionSystem, _certification_failures, _noncommuting_pairs,
-                      _requirement_report, answer_codes, certify_system, count_systems,
+from .systems import (MAX_N, PropositionSystem, answer_codes, certify_system, count_systems,
                       enumerate_systems, minimality_certificate, permute_system,
-                      standard_system)
+                      standard_system, verify_system)
 
 EXIT_OK = 0
 EXIT_PROPERTY_VIOLATION = 1
@@ -166,20 +165,8 @@ def _cmd_verify(args) -> int:
         # named_basis certifies a catalog unitary at tol; the standard basis is exact
         system, basis, _ = _build_system(args, tol)
 
-    noncommuting = list(_noncommuting_pairs(system, tol))  # one scan for both reports
-    failures = _certification_failures(system, tol, noncommuting)
-    separating = False
-    try:
-        codes = answer_codes(system, basis, tol)
-        report = _requirement_report(system, codes, noncommuting)
-        failures.extend(report.failures)
-        separating = is_atomic(Partition.from_codes(codes))
-        if not separating:
-            failures.append("system does not separate the basis")
-        payload = jsonio.requirement_report_to_json(report)
-    except EigenbasisError as e:
-        failures.append(f"requirement checks aborted: {e}")
-        payload = {}
+    failures, report, separating = verify_system(system, basis, tol)
+    payload = jsonio.requirement_report_to_json(report) if report is not None else {}
     payload["certified"] = not failures
     payload["separates"] = separating
     payload["failures"] = failures

@@ -26,7 +26,7 @@ def matrix_to_json(m) -> dict[str, Any]:
     return {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "data": [[float(x.real), float(x.imag)] for x in a.reshape(-1)],
+        "data": np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist(),
     }
 
 

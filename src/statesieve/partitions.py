@@ -102,8 +102,8 @@ def meet_all(parts: Iterable[Partition]) -> Partition:
 
 
 def is_atomic(p: Partition) -> bool:
-    """True iff every block is a singleton (states fully separated)."""
-    return all(len(b) == 1 for b in p.blocks)
+    """True iff every block is a singleton: the non-empty blocks are as many as the positions."""
+    return len(p) == p.ground_size
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:

@@ -200,11 +200,7 @@ def naive_search(n: int, target_index: int, question_order: Sequence[int],
     order = list(question_order)
     if sorted(order) != list(range(1, dim + 1)):
         raise ValueError("question_order must be a permutation of 1..2^n")
-    asked = 0
-    for q in order:
-        asked += 1
-        if q == target_index:
-            break
+    asked = order.index(target_index) + 1  # the target's 1-based place in the order
     if infer_last and asked == dim:
         asked = dim - 1
     return QuestionCountRecord(target_index, asked, "naive")

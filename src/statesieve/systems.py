@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, commutator_norm, is_projector, max_abs
+from .linalg import DEFAULT_TOL, EigenbasisError, commutator_norm, is_projector, max_abs
 from .partitions import Partition, is_atomic
 
 if TYPE_CHECKING:
@@ -280,6 +280,23 @@ def _requirement_report(system: PropositionSystem, codes: np.ndarray,
                             f"block sizes {sizes}, expected all {quarter}")
 
     return RequirementReport(co_measurable, balanced, refining, tuple(failures))
+
+
+def verify_system(system: PropositionSystem, basis: "Basis", tol: float = DEFAULT_TOL
+                  ) -> tuple[list[str], RequirementReport | None, bool]:
+    """(failures, requirement report or None off a common eigenbasis, separates) from one pass."""
+    noncommuting = list(_noncommuting_pairs(system, tol))  # one scan for both reports
+    failures = _certification_failures(system, tol, noncommuting)
+    try:
+        codes = answer_codes(system, basis, tol)
+    except EigenbasisError as e:
+        return failures + [f"requirement checks aborted: {e}"], None, False
+    report = _requirement_report(system, codes, noncommuting)
+    separating = is_atomic(Partition.from_codes(codes))
+    failures.extend(report.failures)
+    if not separating:
+        failures.append("system does not separate the basis")
+    return failures, report, separating
 
 
 def _diagonals_of(system: PropositionSystem, tol: float) -> np.ndarray:

@@ -10,6 +10,8 @@ from statesieve import (DetectorOutcome, cli, ghz_basis, jsonio, standard_system
                         transformed_system)
 from statesieve.cli import main
 
+from test_systems import UNEVEN_N2, UNEVEN_N2_FAILURES
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -69,6 +71,16 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--file", str(path))
         assert code == 1
         assert json.loads(out)["failures"]
+
+    def test_uneven_file_fails_every_requirement_count(self, capsys, tmp_path):
+        path = tmp_path / "uneven.json"
+        path.write_text(json.dumps(jsonio.system_to_json(UNEVEN_N2)))
+        code, out, _ = run_cli(capsys, "verify", "--file", str(path))
+        assert code == 1
+        assert json.loads(out) == {
+            "co_measurable": True, "balanced_halves": False, "pairwise_quarters": False,
+            "failures": UNEVEN_N2_FAILURES, "ok": False, "certified": False,
+            "separates": False}
 
     def test_non_eigenbasis_file_names_the_projector(self, capsys, tmp_path):
         _, u = ghz_basis()

@@ -18,6 +18,19 @@ class TestMatrixFormat:
         assert obj == {"rows": 2, "cols": 2,
                        "data": [[1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [-4.0, 0.0]]}
 
+    @pytest.mark.parametrize("m", [
+        np.array([[-0.0, complex(0.0, -0.0)]]),
+        np.array([[5e-324, 2.2e-308j]]),
+        np.arange(6).reshape(2, 3),
+        np.zeros((3, 0)),
+        (np.arange(6) + 1j * np.arange(6)[::-1]).reshape(2, 3).T,
+    ], ids=["signed-zero", "subnormal", "integer", "zero-columns", "transposed"])
+    def test_encoding_matches_the_element_wise_pairs(self, m):
+        a = np.asarray(m, dtype=complex)
+        pairs = [[float(x.real), float(x.imag)] for x in a.reshape(-1)]
+        expected = {"rows": a.shape[0], "cols": a.shape[1], "data": pairs}
+        assert json.dumps(jsonio.matrix_to_json(m)) == json.dumps(expected)
+
     @given(m=square_complex(max_dim=4, max_mag=1e6))
     @settings(max_examples=80, deadline=None)
     def test_round_trip_is_bit_identical(self, m):

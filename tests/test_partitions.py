@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from statesieve import (EigenbasisError, Partition, ghz_basis, is_atomic, meet,
                         meet_all, partition_from_projector, refines,
-                        standard_system, transformed_system)
+                        standard_basis, standard_system, transformed_system)
 
 # Partitions the three transformed propositions induce on the entangled basis
 GHZ_PARTITIONS = (
@@ -68,6 +68,11 @@ class TestFromProjector:
         system = transformed_system(u, standard_system(3))
         part = partition_from_projector(system.projectors[which], basis)
         assert part == Partition(8, expected)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError) as err:
+            partition_from_projector(np.eye(4), standard_basis(3))
+        assert str(err.value) == "dimension mismatch: projector 4, basis 8"
 
     def test_non_eigenvector_raises(self):
         basis, _ = ghz_basis()

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,22 @@ from statesieve import (EigenbasisError, PropositionSystem,
                         ghz_basis, minimality_certificate, named_basis,
                         permute_system, separates, standard_basis,
                         standard_system, system_from_diagonals,
-                        transformed_system, verify_requirements)
-from statesieve import systems
+                        transformed_system, verify_requirements, verify_system)
+from statesieve import jsonio, systems
 from statesieve.bases import BASIS_KEYS
 from statesieve.systems import standard_subset_meets_nonatomic
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# diagonals (1, 1, 1, 0) and (1, 0, 1, 0): projector 1 has trace 3 and splits
+# the basis 3:1, so requirements (ii) and (iii) and separation all fail
+UNEVEN_N2 = PropositionSystem(2, [np.diag([1.0, 1, 1, 0]), np.diag([1.0, 0, 1, 0])])
+UNEVEN_N2_FAILURES = [
+    "projector 1 has trace 3+0j, expected 2.0",
+    "(ii) projector 1 splits sizes [1, 3], expected [2, 2]",
+    "(iii) propositions 1,2 meet has block sizes [1, 1, 2], expected all 1",
+    "system does not separate the basis"]
 
 
 def diagonals_of(system):
@@ -49,6 +63,11 @@ class TestStandardSystem:
     def test_out_of_range(self, bad):
         with pytest.raises(ValueError):
             standard_system(bad)
+
+    def test_rejects_a_projector_of_the_wrong_shape(self):
+        with pytest.raises(ValueError) as err:
+            PropositionSystem(2, [np.eye(3)])
+        assert str(err.value) == "projector 1 has shape (3, 3), expected (4, 4)"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_certifies(self, n):
@@ -85,6 +104,42 @@ class TestRequirements:
         assert (err.value.projector_index, err.value.vector_index) == (1, 1)
 
 
+class TestVerifySystem:
+    @staticmethod
+    def assert_prints(verdict, printed):
+        failures, report, separating = verdict
+        assert failures == printed["failures"]
+        assert (separating, not failures) == (printed["separates"], printed["certified"])
+        fields = ("co_measurable", "balanced_halves", "pairwise_quarters", "ok")
+        assert report is not None and {f: printed[f] for f in fields} == {
+            f: getattr(report, f) for f in fields}
+
+    @pytest.mark.parametrize("golden, tol", [("verify_ghz", 1e-10),
+                                             ("verify_ghz_tol5e-16", 5e-16)])
+    def test_ghz_verdict_is_what_verify_prints(self, golden, tol):
+        basis, u = named_basis("ghz", 3, tol)
+        system = transformed_system(u, standard_system(3), tol)
+        printed = json.loads((GOLDEN / f"{golden}.out").read_text())
+        self.assert_prints(verify_system(system, basis, tol), printed)
+
+    def test_file_verdict_is_what_verify_prints(self):
+        system = jsonio.system_from_json(json.loads((GOLDEN / "parity_n3.json").read_text()))
+        printed = json.loads((GOLDEN / "verify_parity_n3.out").read_text())
+        self.assert_prints(verify_system(system, standard_basis(3)), printed)
+
+    def test_uneven_verdict(self):
+        failures, report, separating = verify_system(UNEVEN_N2, standard_basis(2))
+        assert failures == UNEVEN_N2_FAILURES and not separating
+        assert report.co_measurable and not report.balanced_halves
+        assert not report.pairwise_quarters and report.failures == tuple(UNEVEN_N2_FAILURES[1:3])
+
+    def test_off_the_eigenbasis_the_report_is_none(self):
+        failures, report, separating = verify_system(standard_system(3), ghz_basis()[0])
+        assert report is None and not separating
+        assert failures == ["requirement checks aborted: vector is not a 0/1 eigenvector: "
+                            "Rayleigh quotient 0.5 (projector 1, vector 1)"]
+
+
 class TestPermute:
     def test_identity_fixes(self):
         system = standard_system(3)
@@ -107,6 +162,11 @@ class TestPermute:
             (0, 0, 1, 1, 0, 0, 1, 1),
             (0, 1, 0, 1, 0, 1, 0, 1),
         )
+
+    def test_rejects_a_diagonal_that_is_not_0_1(self):
+        with pytest.raises(ValueError) as err:
+            column_codes(PropositionSystem(1, [np.diag([0.5, 0.5])]))
+        assert str(err.value) == "projector 1 diagonal is not 0/1"
 
     def test_rejects_non_diagonal(self):
         from statesieve import transformed_system
