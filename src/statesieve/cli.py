@@ -160,7 +160,7 @@ def _cmd_verify(args) -> int:
     tol = _resolve_tol(args)
     if args.file:
         system = _read_json(args.file, jsonio.system_from_json)
-        basis = standard_basis(system.n)
+        basis = standard_basis(system.n, force=args.force)
     else:
         # named_basis certifies a catalog unitary at tol; the standard basis is exact
         system, basis, _ = _build_system(args, tol)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from .linalg import DEFAULT_TOL, EigenbasisError, commutator_norm, is_projector, max_abs
-from .partitions import Partition, is_atomic
+from .partitions import Partition
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -250,36 +250,48 @@ def verify_requirements(system: PropositionSystem, basis: "Basis",
                         tol: float = DEFAULT_TOL) -> RequirementReport:
     """Verify the three defining requirements against a basis."""
     codes = answer_codes(system, basis, tol)
-    return _requirement_report(system, codes, list(_noncommuting_pairs(system, tol)))
+    return _requirement_report(codes, list(_noncommuting_pairs(system, tol)))
 
 
-def _requirement_report(system: PropositionSystem, codes: np.ndarray,
+def _requirement_report(codes: np.ndarray,
                         noncommuting: list[tuple[int, int, float]]) -> RequirementReport:
-    """The three requirements: (i) from the result of _noncommuting_pairs,
-    (ii) and (iii) counted on the answer codes."""
+    """The three requirements: (i) from the result of _noncommuting_pairs, (ii) and
+    (iii) counted on the (N, k) 0/1 answer codes.  Column i, with c_i ones, splits the
+    basis into [N - c_i, c_i]; columns i and j, with b_ij ones in common, split it into
+    [N - c_i - c_j + b_ij, c_i - b_ij, c_j - b_ij, b_ij]."""
     failures = [f"(i) projectors {i},{j} do not commute (norm {c:.3e})"
                 for i, j, c in noncommuting]
-    co_measurable = not failures
 
-    half = len(codes) // 2
+    size, ones = len(codes), codes.sum(0).tolist()
+    bits = codes.astype(float)  # BLAS counts 0/1 products exactly below 2^53
+    both = (bits.T @ bits).astype(int).tolist()
+    half, quarter = size // 2, size // 4
     balanced = True
-    for i, column in enumerate(codes.T, start=1):
-        sizes = sorted(int(c) for c in np.bincount(column) if c)
+    for i, c in enumerate(ones, start=1):
+        sizes = sorted(s for s in (size - c, c) if s)
         if sizes != [half, half]:
             balanced = False
             failures.append(f"(ii) projector {i} splits sizes {sizes}, "
                             f"expected [{half}, {half}]")
 
-    quarter = len(codes) // 4
     refining = True
-    for i, j in itertools.combinations(range(system.size), 2):
-        sizes = sorted(int(c) for c in np.bincount(2 * codes[:, i] + codes[:, j]) if c)
+    for i, j in itertools.combinations(range(len(ones)), 2):
+        ci, cj, b = ones[i], ones[j], both[i][j]
+        sizes = sorted(s for s in (size - ci - cj + b, ci - b, cj - b, b) if s)
         if any(s != quarter for s in sizes):
             refining = False
             failures.append(f"(iii) propositions {i + 1},{j + 1} meet has "
                             f"block sizes {sizes}, expected all {quarter}")
 
-    return RequirementReport(co_measurable, balanced, refining, tuple(failures))
+    return RequirementReport(not noncommuting, balanced, refining, tuple(failures))
+
+
+def _distinct_rows(codes) -> bool:
+    """True iff the rows of a 0/1 code matrix of any width are pairwise distinct."""
+    rows = np.packbits(np.asarray(codes, dtype=bool), axis=1)
+    if rows.shape[1]:  # sorted, equal rows are neighbours; with no columns all rows are equal
+        rows = rows[np.lexsort(rows.T)]
+    return not np.any(np.all(rows[1:] == rows[:-1], axis=1))
 
 
 def verify_system(system: PropositionSystem, basis: "Basis", tol: float = DEFAULT_TOL
@@ -291,8 +303,8 @@ def verify_system(system: PropositionSystem, basis: "Basis", tol: float = DEFAUL
         codes = answer_codes(system, basis, tol)
     except EigenbasisError as e:
         return failures + [f"requirement checks aborted: {e}"], None, False
-    report = _requirement_report(system, codes, noncommuting)
-    separating = is_atomic(Partition.from_codes(codes))
+    report = _requirement_report(codes, noncommuting)
+    separating = _distinct_rows(codes)
     failures.extend(report.failures)
     if not separating:
         failures.append("system does not separate the basis")
@@ -407,7 +419,7 @@ def separates(system: PropositionSystem, basis: "Basis",
     a vector that is not raises EigenbasisError (that situation is a
     usage error, not a 'no').
     """
-    return is_atomic(Partition.from_codes(answer_codes(system, basis, tol)))
+    return _distinct_rows(answer_codes(system, basis, tol))
 
 
 def minimality_certificate(n: int) -> MinimalityReport:
@@ -420,8 +432,7 @@ def minimality_certificate(n: int) -> MinimalityReport:
         scanned, found = 0, False
         for subset in itertools.combinations(range(2 ** dim), n - 1):
             scanned += 1
-            codes = [[(mask >> k) & 1 for mask in subset] for k in range(dim)]
-            if is_atomic(Partition.from_codes(codes)):
+            if _distinct_rows([[(mask >> k) & 1 for mask in subset] for k in range(dim)]):
                 found = True
                 break
     return MinimalityReport(
@@ -434,5 +445,4 @@ def standard_subset_meets_nonatomic(n: int, basis: "Basis",
                                     tol: float = DEFAULT_TOL) -> bool:
     """True iff dropping any one standard projector leaves a non-atomic meet."""
     codes = answer_codes(standard_system(n), basis, tol)
-    return not any(is_atomic(Partition.from_codes(np.delete(codes, skip, axis=1)))
-                   for skip in range(n))
+    return not any(_distinct_rows(np.delete(codes, skip, axis=1)) for skip in range(n))

@@ -93,6 +93,16 @@ class TestVerify:
             "requirement checks aborted: vector is not a 0/1 eigenvector: "
             "Rayleigh quotient 0.5 (projector 3, vector 1)"]
 
+    def test_file_past_the_guard_needs_force(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 11, "projectors": []}))
+        code, out, err = run_cli(capsys, "verify", "--file", str(path))
+        assert code == 3 and out == ""
+        assert "exceeds the guard 10" in json.loads(err)["error"]["message"]
+        code, out, _ = run_cli(capsys, "verify", "--file", str(path), "--force")
+        assert code == 1
+        assert json.loads(out)["failures"] == ["system does not separate the basis"]
+
     def test_tol_flag_beats_environment(self, capsys, tmp_path, monkeypatch):
         slightly_off = np.diag([1.0 + 1e-6, 0.0]).astype(complex)
         path = tmp_path / "near.json"

@@ -1,8 +1,10 @@
-"""Partitions, meets and separation are all read off one answer-code matrix:
-`Partition.from_codes` groups the positions that share a code row, and each
-CLI command computes `answer_codes` once."""
+"""Partitions, meets, separation and the requirement counts are all read off one
+answer-code matrix: `Partition.from_codes` groups the positions that share a code
+row for output, verdicts are counts on the matrix, and each CLI command computes
+`answer_codes` once."""
 
 import functools
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statesieve import (Partition, answer_codes, cli, is_atomic, meet, meet_all,
-                        named_basis, permute_system, refines, separates, standard_basis,
-                        standard_system, system_from_diagonals, system_partitions, systems,
-                        transformed_system)
+from statesieve import (Partition, RequirementReport, answer_codes, cli, is_atomic, meet,
+                        meet_all, minimality_certificate, named_basis, permute_system,
+                        refines, separates, standard_basis, standard_system,
+                        system_from_diagonals, system_partitions, systems, transformed_system)
 from statesieve.cli import main
+from statesieve.systems import standard_subset_meets_nonatomic
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -164,3 +167,124 @@ class TestOneCodePassPerCommand:
         monkeypatch.setattr(cli, "answer_codes", refuse)
         assert main(["transform", "--n", "3", "--emit", "projectors,basis"]) == 0
         capsys.readouterr()
+
+
+def reference_requirement_report(codes, noncommuting):
+    """Requirements (ii) and (iii) as one bincount per column and per pair of columns."""
+    failures = [f"(i) projectors {i},{j} do not commute (norm {c:.3e})"
+                for i, j, c in noncommuting]
+    co_measurable = not failures
+
+    half = len(codes) // 2
+    balanced = True
+    for i, column in enumerate(codes.T, start=1):
+        sizes = sorted(int(c) for c in np.bincount(column) if c)
+        if sizes != [half, half]:
+            balanced = False
+            failures.append(f"(ii) projector {i} splits sizes {sizes}, "
+                            f"expected [{half}, {half}]")
+
+    quarter = len(codes) // 4
+    refining = True
+    for i, j in itertools.combinations(range(codes.shape[1]), 2):
+        sizes = sorted(int(c) for c in np.bincount(2 * codes[:, i] + codes[:, j]) if c)
+        if any(s != quarter for s in sizes):
+            refining = False
+            failures.append(f"(iii) propositions {i + 1},{j + 1} meet has "
+                            f"block sizes {sizes}, expected all {quarter}")
+
+    return RequirementReport(co_measurable, balanced, refining, tuple(failures))
+
+
+@st.composite
+def code_matrices(draw, min_rows=2, max_rows=64, min_cols=0, max_cols=8):
+    """(N, k) 0/1 codes whose columns are bits of one shuffled position index
+    (balanced, and pairwise quarters when N is a power of two), shuffled
+    halves, biased coins, or constants; about one matrix in three repeats a row."""
+    size = draw(st.integers(min_rows, max_rows))
+    k = draw(st.integers(min_cols, max_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    index = rng.permutation(size)
+    columns = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["bit", "half", "coin", "zeros", "ones"]))
+        if kind == "bit":
+            columns.append((index >> draw(st.integers(0, 6))) & 1)
+        elif kind == "half":
+            columns.append(rng.permutation(np.arange(size) < size // 2))
+        elif kind == "coin":
+            columns.append(rng.random(size) < rng.random())
+        else:
+            columns.append(np.full(size, kind == "ones"))
+    codes = np.array(columns, dtype=int).reshape(k, size).T
+    if size > 1 and draw(st.integers(0, 2)) == 0:
+        codes[rng.integers(size)] = codes[rng.integers(size)]
+    return codes
+
+
+class TestVerdictsAreCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(code_matrices(), st.sampled_from([[], [(1, 2, 0.25)]]))
+    def test_requirement_report_equals_the_bincounts(self, codes, noncommuting):
+        assert (systems._requirement_report(codes, noncommuting)
+                == reference_requirement_report(codes, noncommuting))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_standard_and_reversed_codes_pass(self, n):
+        codes = standard_system(n).diagonals.T
+        for c in (codes, codes[:, ::-1]):
+            assert systems._requirement_report(c, []).ok
+            assert systems._requirement_report(c, []) == reference_requirement_report(c, [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(code_matrices(min_rows=0),
+                     code_matrices(min_rows=0, max_rows=8, max_cols=0),
+                     code_matrices(max_rows=16, min_cols=70, max_cols=70)))
+    def test_distinct_rows_equals_atomic_meet(self, codes):
+        assert systems._distinct_rows(codes) == is_atomic(Partition.from_codes(codes))
+
+    @pytest.mark.parametrize("k", [0, 1, 8, 9, 70])
+    def test_a_repeated_row_does_not_separate(self, k):
+        rows = np.random.default_rng(k).integers(0, 2, size=(5, k))
+        assert not systems._distinct_rows(np.vstack([rows, rows[2]]))
+
+    @pytest.mark.parametrize("k", [1, 8, 9, 70])
+    def test_rows_that_differ_in_the_last_column_are_distinct(self, k):
+        rows = np.zeros((2, k), dtype=int)
+        rows[1, -1] = 1
+        assert systems._distinct_rows(rows)
+
+    def test_no_rows_or_one_row_is_distinct(self):
+        assert systems._distinct_rows(np.zeros((0, 3), dtype=int))
+        assert systems._distinct_rows(np.zeros((1, 0), dtype=int))
+        assert not systems._distinct_rows(np.zeros((2, 0), dtype=int))
+
+
+@pytest.fixture
+def partitions_forbidden(monkeypatch):
+    """Fail if anything builds a Partition."""
+    def refuse(self):
+        raise AssertionError("Partition built")
+
+    monkeypatch.setattr(Partition, "__post_init__", refuse)
+
+
+@pytest.mark.usefixtures("partitions_forbidden")
+class TestVerifyBuildsNoPartition:
+    @pytest.mark.parametrize("argv, exit_code", [
+        ("verify --n 12 --force", 0),
+        ("verify --basis ghz", 0),
+        (f"verify --file {GOLDEN / 'parity_n3.json'}", 1),
+    ])
+    def test_command(self, capsys, argv, exit_code):
+        assert main(argv.split()) == exit_code, capsys.readouterr().err
+
+    def test_library_verdicts(self):
+        basis = standard_basis(3)
+        assert separates(standard_system(3), basis)
+        assert standard_subset_meets_nonatomic(3, basis)
+        assert minimality_certificate(2).ok
+
+    def test_the_guard_trips_on_printed_partitions(self, capsys):
+        with pytest.raises(AssertionError, match="Partition built"):
+            main(["partition", "--n", "2"])
