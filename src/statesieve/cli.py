@@ -134,6 +134,8 @@ def _render_text(obj: Any, indent: str = "") -> str:
                 lines.append(f"{indent}{key}: {value}")
         return "\n".join(lines)
     if isinstance(obj, list):
+        if all(isinstance(x, str) for x in obj):  # one per line; an empty list reads []
+            return "\n".join(indent + x for x in obj) or indent + "[]"
         if all(not isinstance(x, (dict, list)) for x in obj):
             return indent + " ".join(str(x) for x in obj)
         return "\n\n".join(_render_text(x, indent + "  ") for x in obj)
@@ -182,6 +184,8 @@ def _cmd_transform(args) -> int:
     unknown = set(wanted) - known
     if unknown:
         raise ValueError(f"unknown --emit items {sorted(unknown)}; choose from {sorted(known)}")
+    if not wanted:
+        raise ValueError(f"--emit needs at least one of {sorted(known)}")
     payload: dict[str, Any] = {"n": args.n, "basis": args.basis}
     if "projectors" in wanted:
         payload["projectors"] = [jsonio.matrix_to_json(p) for p in system.projectors]

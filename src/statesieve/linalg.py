@@ -141,15 +141,14 @@ def eigenvalue_bits(p: np.ndarray, vectors: np.ndarray, tol: float = DEFAULT_TOL
 def quotient_bits(q: np.ndarray, tol: float = DEFAULT_TOL,
                   projector_index: int | None = None,
                   first_vector_index: int | None = 1) -> np.ndarray:
-    """Rayleigh quotients rounded to {0, 1}.
+    """Rayleigh quotients read as the nearer of 0 and 1 (a tie reads 0).
 
-    The first quotient farther than tol from both raises EigenbasisError,
-    which names entry k (0-based) as vector first_vector_index + k, or no
-    vector for None.
+    The first quotient farther than tol from that value (NaN and inf
+    included) raises EigenbasisError, which names entry k (0-based) as
+    vector first_vector_index + k, or no vector for None.
     """
-    zeros = np.abs(q) <= tol
-    ones = ~zeros & (np.abs(q - 1.0) <= tol)
-    bad = np.flatnonzero(~(zeros | ones))
+    ones = np.abs(q - 1.0) < np.abs(q)
+    bad = np.flatnonzero(~(np.abs(q - ones) <= tol))
     if bad.size:
         k = int(bad[0])
         vector_index = None if first_vector_index is None else first_vector_index + k

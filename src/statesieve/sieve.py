@@ -35,11 +35,10 @@ class MeasurementDistribution:
     probabilities: tuple[float, ...]
 
     def point_mass(self, tol: float = DEFAULT_TOL) -> int | None:
-        """Detector index if one probability is 1 within tol, else None."""
-        for k, p in enumerate(self.probabilities, start=1):
-            if abs(p - 1.0) <= tol:
-                return k
-        return None
+        """Detector index of the probability nearest 1 if it is within tol, else None."""
+        gaps = np.abs(np.asarray(self.probabilities) - 1.0)
+        k = int(np.argmin(gaps))
+        return k + 1 if gaps[k] <= tol else None
 
 
 @dataclass(frozen=True)

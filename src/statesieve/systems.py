@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, EigenbasisError, commutator_norm, is_projector, max_abs
+from .linalg import (DEFAULT_TOL, EigenbasisError, commutator_norm, is_projector, max_abs,
+                     quotient_bits)
 from .partitions import Partition
 
 if TYPE_CHECKING:
@@ -318,14 +319,13 @@ def _diagonals_of(system: PropositionSystem, tol: float) -> np.ndarray:
         return system.diagonals
     rows = []
     for i, p in enumerate(system.projectors, start=1):
-        off = p - np.diag(np.diag(p))
-        if max_abs(off) > tol:
+        d = np.diag(p)
+        if max_abs(p - np.diag(d)) > tol:
             raise ValueError(f"projector {i} is not diagonal")
-        d = np.real(np.diag(p))
-        bits = np.rint(d).astype(int)
-        if max_abs(np.diag(p) - bits) > tol or not np.all((bits == 0) | (bits == 1)):
-            raise ValueError(f"projector {i} diagonal is not 0/1")
-        rows.append(bits)
+        try:
+            rows.append(quotient_bits(d, tol))
+        except EigenbasisError:
+            raise ValueError(f"projector {i} diagonal is not 0/1") from None
     return np.array(rows)
 
 
@@ -401,14 +401,10 @@ def enumerate_systems(n: int, limit: int | None = None,
     """
     dim = _check_enumeration(n, limit, force)
     std = standard_diagonals(n, force)
-    count = 0
-    for perm in itertools.permutations(range(dim)):
-        if limit is not None and count >= limit:
-            return
+    for perm in itertools.islice(itertools.permutations(range(dim)), limit):
         out = np.empty_like(std)
         out[:, perm] = std
         yield system_from_diagonals(out)
-        count += 1
 
 
 def separates(system: PropositionSystem, basis: "Basis",

@@ -174,6 +174,14 @@ class TestTransform:
         code, _, err = run_cli(capsys, "transform", "--emit", "spectra")
         assert code == 3 and "emit" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("emit", ["", ",", " , "])
+    def test_empty_emit_list(self, capsys, emit):
+        code, out, err = run_cli(capsys, "transform", "--n", "2", "--emit", emit)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["message"] == (
+            "--emit needs at least one of "
+            "['basis', 'codes', 'meet', 'partitions', 'projectors', 'unitary']")
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):
@@ -386,6 +394,38 @@ class TestTextFormat:
     def test_matrix_text_rendering(self, capsys):
         code, out, _ = run_cli(capsys, "build", "--n", "1", "--format", "text")
         assert code == 0 and "1" in out and "{" not in out.splitlines()[0]
+
+    def test_no_failures_print_as_an_empty_list(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            "co_measurable: True", "balanced_halves: True", "pairwise_quarters: True",
+            "failures:", "  []", "ok: True", "certified: True", "separates: True"]
+
+    def test_failures_print_one_per_line(self, capsys, tmp_path):
+        path = tmp_path / "uneven.json"
+        path.write_text(json.dumps(jsonio.system_to_json(UNEVEN_N2)))
+        code, out, _ = run_cli(capsys, "verify", "--file", str(path), "--format", "text")
+        assert code == 1
+        lines = out.splitlines()
+        start = lines.index("failures:") + 1
+        assert lines[start:start + len(UNEVEN_N2_FAILURES)] == [
+            "  " + f for f in UNEVEN_N2_FAILURES]
+        assert lines[start + len(UNEVEN_N2_FAILURES)] == "ok: False"
+
+    def test_basis_labels_print_one_per_line(self, capsys):
+        code, out, _ = run_cli(capsys, "transform", "--n", "2", "--emit", "basis",
+                               "--format", "text")
+        lines = out.splitlines()
+        start = lines.index("  labels:") + 1
+        assert code == 0 and lines[start:start + 5] == [
+            "    |++>", "    |+->", "    |-+>", "    |-->", "  vectors:"]
+
+    def test_number_lists_stay_on_one_line(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--n", "3", "--index", "3",
+                               "--sample", "4", "--format", "text")
+        assert code == 0 and "  1 0 1" in out.splitlines()
+        assert "    0 0 4 0 0 0 0 0" in out.splitlines()
 
 
 def test_module_entry_point_runs():
