@@ -11,8 +11,9 @@ standard basis state, `verify` and `simulate --state --sample`.  Once per
 run come `verify --n 16 --force`, past the dense-size guard,
 `question_count_stats` at n = 3 with 50000 trials (the slowest `stats`
 command of the cascade_sample workload), `sample_detections` of a random
-n = 3 state with 5 trials, where the fixed cost of seeding a call shows, and
-the n = 10 sigma-product proposition of `xyyxyyxyyx`.  CLI cases run the
+n = 3 state with 5 trials, where the fixed cost of seeding a call shows, the
+n = 10 sigma-product proposition of `xyyxyyxyyx`, and the CLI case `--help`,
+the start-up alone that the benchmark's setup_s times.  CLI cases run the
 matching commands as `python -m statesieve ...`, start-up included.  Each
 case runs once to warm up, then --repeat times; the best and the median wall
 time are recorded with the sha256 of the case's output, which must be the
@@ -163,7 +164,8 @@ def main(argv=None) -> int:
         result = {"kind": kind, "name": name, "n": n, **measure(kind, fn, args.repeat)}
         results.append(result)
         peak = f"peak {result['peak_mb']:8.3f} MB" if "peak_mb" in result else " " * 16
-        print(f"{kind:5} n={n:<2} {name:30} best {result['best_ms']:10.3f} ms  "
+        size = "-" if n is None else n
+        print(f"{kind:5} n={size:<2} {name:30} best {result['best_ms']:10.3f} ms  "
               f"median {result['median_ms']:10.3f} ms  {peak}  {result['sha256'][:12]}")
 
     with tempfile.TemporaryDirectory() as work:
@@ -183,6 +185,7 @@ def main(argv=None) -> int:
                                                   SEED)).encode())
     run_case("layer", f"sigma_product_proposition {PAULI_AXES}", len(PAULI_AXES),
              lambda: sigma_product_proposition(PAULI_AXES).tobytes())
+    run_case("cli", "--help", None, lambda: _subprocess_stdout(["--help"]))
 
     record = {"label": args.label, "repeat": args.repeat, "ns": args.n,
               "machine": harness.machine_record(), "software": harness.software_record(),

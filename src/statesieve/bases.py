@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._catalog import BASIS_KEYS
 from .linalg import (DEFAULT_TOL, as_matrix, conjugate, eigenvalue_bits, is_unitary, max_abs,
                      quotient_bits)
 from .systems import PropositionSystem, _check_n
@@ -23,8 +24,6 @@ from .systems import PropositionSystem, _check_n
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
-
-BASIS_KEYS = ("standard", "ghz", "w", "equal_weight")
 
 
 class Basis:

@@ -13,19 +13,19 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from . import jsonio
-from .bases import (BASIS_KEYS, Basis, NamedUnitary, named_basis, standard_basis,
-                    transformed_system)
+from ._catalog import BASIS_KEYS
+# linalg loads numpy, which benchmarks/run.py times inside `import statesieve.cli`
 from .linalg import DEFAULT_TOL
-from .partitions import Partition, is_atomic
-from .paulis import CERECEDA_AXES, cereceda_system, normalize_axes, sigma_product_proposition
-from .sieve import (measure_and_sample, measure_state, question_count_stats, route_basis_state,
-                    sample_detections)
-from .systems import (MAX_N, PropositionSystem, answer_codes, certify_system, count_systems,
-                      enumerate_systems, minimality_certificate, permute_system,
-                      standard_system, verify_system)
+
+if TYPE_CHECKING:
+    from .bases import Basis, NamedUnitary
+    from .systems import PropositionSystem
+
+# Each command imports the modules it calls when it runs, so a process pays
+# only for those: `--help` loads no library module but linalg, `verify` no
+# sieve or paulis, `stats` no bases or paulis.
 
 EXIT_OK = 0
 EXIT_PROPERTY_VIOLATION = 1
@@ -89,6 +89,8 @@ def _parse_perm(text: str) -> list[int]:
 
 def _build_system(args, tol: float) -> tuple[PropositionSystem, Basis, NamedUnitary | None]:
     """Diagonal (optionally permuted) system in the chosen basis, the basis, its unitary."""
+    from .bases import named_basis, transformed_system
+    from .systems import permute_system, standard_system
     basis, unitary = named_basis(args.basis, args.n, tol, force=args.force)
     system = standard_system(args.n, force=args.force)
     if getattr(args, "perm", None):
@@ -101,6 +103,7 @@ def _build_system(args, tol: float) -> tuple[PropositionSystem, Basis, NamedUnit
 def _check_dense_limit(args, n: int) -> None:
     """pauli and minimality build dense matrices, and --force does not lift their
     n <= MAX_N guard: name that limit rather than advise --force."""
+    from .systems import MAX_N
     if n > MAX_N:
         raise ValueError(f"{args.command} is limited to n <= {MAX_N}, even with --force; "
                          f"got n = {n}")
@@ -116,6 +119,7 @@ def _render_text(obj: Any, indent: str = "") -> str:
     """Aligned-text rendering of the JSON structures this tool emits."""
     if isinstance(obj, dict):
         if set(obj) == {"rows", "cols", "data"}:
+            from . import jsonio
             m = jsonio.matrix_from_json(obj)
             cells = [[_fmt_complex(m[r, c]) for c in range(m.shape[1])]
                      for r in range(m.shape[0])]
@@ -150,6 +154,7 @@ def _emit(args, payload: Any) -> None:
 
 
 def _cmd_build(args) -> int:
+    from . import jsonio
     tol = _resolve_tol(args)
     system, _, _ = _build_system(args, tol)
     payload = jsonio.system_to_json(system)
@@ -159,6 +164,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import jsonio
+    from .bases import standard_basis
+    from .systems import verify_system
     tol = _resolve_tol(args)
     if args.file:
         system = _read_json(args.file, jsonio.system_from_json)
@@ -177,6 +185,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from . import jsonio
+    from .partitions import Partition, is_atomic
+    from .systems import answer_codes
     tol = _resolve_tol(args)
     system, basis, unitary = _build_system(args, tol)
     wanted = [w.strip() for w in args.emit.split(",") if w.strip()]
@@ -211,10 +222,12 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .systems import count_systems, enumerate_systems
     if args.count_only:
         payload: dict[str, Any] = {
             "n": args.n, "count": count_systems(args.n, limit=args.limit, force=args.force)}
     else:
+        from . import jsonio
         systems_json = [jsonio.system_to_json(system) for system in
                         enumerate_systems(args.n, limit=args.limit, force=args.force)]
         payload = {"n": args.n, "count": len(systems_json), "systems": systems_json}
@@ -223,6 +236,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import jsonio
+    from .sieve import measure_and_sample, measure_state, route_basis_state, sample_detections
     tol = _resolve_tol(args)
     system, basis, _ = _build_system(args, tol)
     if (args.index is None) == (args.state is None):
@@ -251,6 +266,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import jsonio
+    from .sieve import question_count_stats
     summary = question_count_stats(args.n, args.trials, args.seed,
                                    infer_last=args.infer_last, force=args.force)
     _emit(args, [jsonio.stats_to_json(summary.naive),
@@ -259,6 +276,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_pauli(args) -> int:
+    from . import jsonio
+    from .paulis import CERECEDA_AXES, cereceda_system, normalize_axes, sigma_product_proposition
+    from .systems import certify_system
     tol = _resolve_tol(args)
     if args.cereceda:
         system = cereceda_system()
@@ -279,6 +299,8 @@ def _cmd_pauli(args) -> int:
 
 
 def _cmd_minimality(args) -> int:
+    from . import jsonio
+    from .systems import minimality_certificate
     _check_dense_limit(args, args.n)
     report = minimality_certificate(args.n)
     _emit(args, jsonio.minimality_report_to_json(report))

@@ -8,15 +8,17 @@ vectors are the same with cols = 1.  Values round-trip bit-identically
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .bases import Basis
 from .linalg import as_vector
-from .partitions import Partition
-from .sieve import DetectorOutcome, MeasurementDistribution, StrategyStats
-from .systems import INDEX_MAX_N, MinimalityReport, PropositionSystem, RequirementReport
+
+if TYPE_CHECKING:  # the decoders import what they build, so no command loads them all
+    from .bases import Basis
+    from .partitions import Partition
+    from .sieve import DetectorOutcome, MeasurementDistribution, StrategyStats
+    from .systems import MinimalityReport, PropositionSystem, RequirementReport
 
 
 def matrix_to_json(m) -> dict[str, Any]:
@@ -83,6 +85,7 @@ def system_to_json(system: PropositionSystem) -> dict[str, Any]:
 
 def system_from_json(obj: Any) -> PropositionSystem:
     """Decode a dense system, raising ValueError that names a missing or malformed field."""
+    from .systems import INDEX_MAX_N, PropositionSystem
     n = _int_field(obj, "n", "system", high=INDEX_MAX_N)
     raw = _field(obj, "projectors", "system")
     if not isinstance(raw, list):
@@ -101,6 +104,7 @@ def partition_to_json(p: Partition) -> dict[str, Any]:
 
 
 def partition_from_json(obj: dict[str, Any]) -> Partition:
+    from .partitions import Partition
     return Partition(int(obj["ground"]),
                      tuple(tuple(int(i) for i in b) for b in obj["blocks"]))
 
@@ -111,6 +115,7 @@ def basis_to_json(b: Basis) -> dict[str, Any]:
 
 
 def basis_from_json(obj: dict[str, Any]) -> Basis:
+    from .bases import Basis
     vectors = np.array([vector_from_json(v) for v in obj["vectors"]])
     return Basis(vectors, tuple(obj["labels"]))
 

@@ -36,8 +36,8 @@ class PropositionSystem:
     """Ordered list of n commuting projectors on a 2^n-dimensional space.
 
     `PropositionSystem(n, projectors)` holds dense matrices.  A system built
-    by `system_from_diagonals` (so every standard, permuted and enumerated
-    system) keeps its (n, N) 0/1 `diagonals` instead and builds the dense
+    by `system_from_diagonals`, and every standard, permuted and enumerated
+    system, keeps its (n, N) 0/1 `diagonals` instead and builds the dense
     `projectors` only when something asks for them.  `diagonals` is None
     for a dense system.
     """
@@ -178,16 +178,23 @@ def system_from_diagonals(diagonals: np.ndarray) -> PropositionSystem:
         raise ValueError(f"diagonals must be an array of shape (k, 2^n), got {d.shape}")
     if not np.all((d == 0) | (d == 1)):
         raise ValueError("diagonals must hold only 0 and 1")
+    return _diagonal_system(d.astype(int))
+
+
+def _diagonal_system(diagonals: np.ndarray) -> PropositionSystem:
+    """The system on a (k, 2^n) 0/1 integer array that its caller built and
+    hands over: stored read-only as it is, without the checks and the copy
+    system_from_diagonals makes of an outside array."""
     system = PropositionSystem.__new__(PropositionSystem)
-    system.n, system._projectors = n, None
-    system.diagonals = d.astype(int)
-    system.diagonals.flags.writeable = False
+    system.n, system._projectors = diagonals.shape[1].bit_length() - 1, None
+    system.diagonals = diagonals
+    diagonals.flags.writeable = False
     return system
 
 
 def standard_system(n: int, force: bool = False) -> PropositionSystem:
     """The binary-search system: projector i asks "is particle i in state +"."""
-    return system_from_diagonals(standard_diagonals(n, force))
+    return _diagonal_system(standard_diagonals(n, force))
 
 
 def _noncommuting_pairs(system: PropositionSystem,
@@ -355,7 +362,7 @@ def permute_system(system: PropositionSystem,
         raise ValueError("permutation is not a bijection on 0..N-1")
     out = np.empty_like(diags)
     out[:, p] = diags
-    return system_from_diagonals(out)
+    return _diagonal_system(out)
 
 
 def _check_enumeration(n: int, limit: int | None, force: bool) -> int:
@@ -404,7 +411,7 @@ def enumerate_systems(n: int, limit: int | None = None,
     for perm in itertools.islice(itertools.permutations(range(dim)), limit):
         out = np.empty_like(std)
         out[:, perm] = std
-        yield system_from_diagonals(out)
+        yield _diagonal_system(out)
 
 
 def separates(system: PropositionSystem, basis: "Basis",

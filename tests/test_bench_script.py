@@ -19,13 +19,14 @@ def test_bench_script_at_n_2(tmp_path):
     assert {"nproc", "cpu_model"} <= record["machine"].keys()
     assert {"python", "numpy"} <= record["software"].keys()
     cases = {(c["kind"], c["name"]): c for c in record["cases"]}
-    assert len(cases) == len(record["cases"]) == 17
+    assert len(cases) == len(record["cases"]) == 18
     assert all(c["best_ms"] > 0 and len(c["sha256"]) == 64 for c in cases.values())
     assert all(("peak_mb" in c) == (c["kind"] == "layer") for c in cases.values())
     assert cases["layer", "cli.main verify --force"]["n"] == 16
     assert cases["layer", "question_count_stats 50000 trials"]["n"] == 3
     assert cases["layer", "sample_detections 5 trials"]["n"] == 3
     assert cases["layer", "sigma_product_proposition xyyxyyxyyx"]["n"] == 10
+    assert cases["cli", "--help"]["n"] is None
     # a command prints the same bytes in-process and as a fresh process
     for name in ("enumerate count", "verify", "simulate state sample"):
         assert cases["layer", f"cli.main {name}"]["sha256"] == cases["cli", name]["sha256"]

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from statesieve import (DetectorOutcome, cli, ghz_basis, jsonio, standard_system, systems,
-                        transformed_system)
+from statesieve import (DetectorOutcome, bases, cli, ghz_basis, jsonio, sieve, standard_system,
+                        systems, transformed_system)
 from statesieve.cli import main
 
 from test_systems import UNEVEN_N2, UNEVEN_N2_FAILURES
@@ -267,7 +267,7 @@ class TestSimulate:
         assert error["type"] == "ValueError" and str(path) in error["message"]
 
     def test_json_output_refuses_nan(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "route_basis_state", lambda *args: DetectorOutcome((1,), math.nan))
+        monkeypatch.setattr(sieve, "route_basis_state", lambda *args: DetectorOutcome((1,), math.nan))
         code, out, err = run_cli(capsys, "simulate", "--n", "1", "--index", "1")
         assert code == 3 and out == ""
         assert "JSON" in json.loads(err)["error"]["message"]
@@ -275,7 +275,7 @@ class TestSimulate:
     def test_memory_error_is_a_resource_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 16.0 TiB")
-        monkeypatch.setattr(cli, "named_basis", exhausted)
+        monkeypatch.setattr(bases, "named_basis", exhausted)
         code, out, err = run_cli(capsys, "simulate", "--n", "20", "--force", "--index", "1")
         assert code == 3 and out == ""
         assert json.loads(err) == {"error": {"type": "MemoryError",

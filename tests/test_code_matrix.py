@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statesieve import (Partition, RequirementReport, answer_codes, cli, is_atomic, meet,
+from statesieve import (Partition, RequirementReport, answer_codes, is_atomic, meet,
                         meet_all, minimality_certificate, named_basis, permute_system,
                         refines, separates, standard_basis, standard_system,
                         system_from_diagonals, system_partitions, systems, transformed_system)
@@ -154,7 +154,6 @@ class TestOneCodePassPerCommand:
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "answer_codes", counted)
         monkeypatch.setattr(systems, "answer_codes", counted)
         assert main(argv.split()) == exit_code
         capsys.readouterr()
@@ -164,7 +163,7 @@ class TestOneCodePassPerCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("answer_codes called")
 
-        monkeypatch.setattr(cli, "answer_codes", refuse)
+        monkeypatch.setattr(systems, "answer_codes", refuse)
         assert main(["transform", "--n", "3", "--emit", "projectors,basis"]) == 0
         capsys.readouterr()
 

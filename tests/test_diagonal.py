@@ -42,10 +42,24 @@ class TestForm:
             standard_system(2).diagonals[0, 0] = 0
 
     @pytest.mark.parametrize("bad", [np.ones(4), np.ones((2, 6)), [[0, 2, 1, 0]],
-                                     [[0.5, 0.5, 1, 0]]])
+                                     [[0.5, 0.5, 1, 0]], [[np.nan, 0, 1, 0]]])
     def test_rejects_malformed_diagonals(self, bad):
         with pytest.raises(ValueError, match="diagonals"):
             system_from_diagonals(bad)
+
+    @pytest.mark.parametrize("build", [
+        lambda: standard_system(3),
+        lambda: permute_system(standard_system(3), [7, 0, 6, 1, 5, 2, 4, 3]),
+        lambda: permute_system(dense_twin(standard_system(2)), [1, 0, 3, 2]),
+        lambda: list(enumerate_systems(2, limit=5))[-1],
+    ], ids=["standard", "permuted", "permuted dense", "enumerated"])
+    def test_built_diagonals_are_stored_as_the_checked_copy_would_be(self, build):
+        # the library's own arrays skip system_from_diagonals' check and copy
+        stored = build().diagonals
+        checked = system_from_diagonals(stored).diagonals
+        assert stored.dtype == checked.dtype == np.dtype(int)
+        assert stored.tobytes() == checked.tobytes()
+        assert not stored.flags.writeable and not checked.flags.writeable
 
     def test_trace_failure_matches_the_dense_twin(self):
         system = system_from_diagonals([[1, 1, 1, 0]])
