@@ -8,12 +8,13 @@ Layer cases call the library (and `cli.main`) in this process: question
 counts, sampling an eigenstate and a random state, measuring a random state,
 the enumeration count, the answer codes of the standard system, routing a
 standard basis state, `verify` and `simulate --state --sample`.  Once per
-run come `verify --n 16 --force`, past the dense-size guard,
-`question_count_stats` at n = 3 with 50000 trials (the slowest `stats`
-command of the cascade_sample workload), `sample_detections` of a random
-n = 3 state with 5 trials, where the fixed cost of seeding a call shows, the
-n = 10 sigma-product proposition of `xyyxyyxyyx`, and the CLI case `--help`,
-the start-up alone that the benchmark's setup_s times.  CLI cases run the
+run come `verify --n 16 --force` and `verify --n 18 --force`, past the
+dense-size guard, `question_count_stats` at n = 3 with 50000 trials (the
+slowest `stats` command of the cascade_sample workload), `sample_detections`
+of a random n = 3 state with 5 trials, where the fixed cost of seeding a call
+shows, the n = 10 sigma-product proposition of `xyyxyyxyyx`, and two CLI
+cases: `--help`, the start-up alone that the benchmark's setup_s times, and
+`verify --n 3`, a real command from start to exit.  CLI cases run the
 matching commands as `python -m statesieve ...`, start-up included.  Each
 case runs once to warm up, then --repeat times; the best and the median wall
 time are recorded with the sha256 of the case's output, which must be the
@@ -58,6 +59,7 @@ SAMPLE_TRIALS = 1000
 ENUM_LIMIT = 1000     # n > 3 is enumerated only with a limit
 SEED = 42
 FORCE_N = 16          # `verify --force` here builds no 2^n x 2^n array
+LARGE_FORCE_N = 18
 LONG_STATS_TRIALS = 50000
 SHORT_SAMPLE_TRIALS = 5
 PAULI_AXES = "xyyxyyxyyx"  # the permuted triple's pattern at n = 10
@@ -177,6 +179,8 @@ def main(argv=None) -> int:
                 run_case(kind, name, n, fn)
     run_case("layer", "cli.main verify --force", FORCE_N,
              lambda: _cli_stdout(["verify", "--n", str(FORCE_N), "--force"]))
+    run_case("layer", f"cli.main verify --n {LARGE_FORCE_N} --force", LARGE_FORCE_N,
+             lambda: _cli_stdout(["verify", "--n", str(LARGE_FORCE_N), "--force"]))
     system, state = standard_system(3), _random_state(3)
     run_case("layer", f"question_count_stats {LONG_STATS_TRIALS} trials", 3,
              lambda: repr(question_count_stats(3, LONG_STATS_TRIALS, SEED)).encode())
@@ -186,6 +190,7 @@ def main(argv=None) -> int:
     run_case("layer", f"sigma_product_proposition {PAULI_AXES}", len(PAULI_AXES),
              lambda: sigma_product_proposition(PAULI_AXES).tobytes())
     run_case("cli", "--help", None, lambda: _subprocess_stdout(["--help"]))
+    run_case("cli", "verify --n 3", 3, lambda: _subprocess_stdout(["verify", "--n", "3"]))
 
     record = {"label": args.label, "repeat": args.repeat, "ns": args.n,
               "machine": harness.machine_record(), "software": harness.software_record(),

@@ -4,6 +4,7 @@ simulate, stats, and pauli subcommands with JSON (default) or text output.
 Exit codes: 0 success, 1 a verified property failed, 2 usage errors,
 3 validation/resource errors, 141 stdout closed by its reader.  SIEVE_TOL
 overrides the default tolerance; an explicit --tol wins over the environment.
+`run` is the process entry point; `main(argv)` returns the code in-process.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 from ._catalog import BASIS_KEYS
 # linalg loads numpy, which benchmarks/run.py times inside `import statesieve.cli`
@@ -189,7 +190,6 @@ def _cmd_transform(args) -> int:
     from .partitions import Partition, is_atomic
     from .systems import answer_codes
     tol = _resolve_tol(args)
-    system, basis, unitary = _build_system(args, tol)
     wanted = [w.strip() for w in args.emit.split(",") if w.strip()]
     known = {"projectors", "partitions", "codes", "basis", "unitary", "meet"}
     unknown = set(wanted) - known
@@ -197,6 +197,7 @@ def _cmd_transform(args) -> int:
         raise ValueError(f"unknown --emit items {sorted(unknown)}; choose from {sorted(known)}")
     if not wanted:
         raise ValueError(f"--emit needs at least one of {sorted(known)}")
+    system, basis, unitary = _build_system(args, tol)
     payload: dict[str, Any] = {"n": args.n, "basis": args.basis}
     if "projectors" in wanted:
         payload["projectors"] = [jsonio.matrix_to_json(p) for p in system.projectors]
@@ -239,9 +240,9 @@ def _cmd_simulate(args) -> int:
     from . import jsonio
     from .sieve import measure_and_sample, measure_state, route_basis_state, sample_detections
     tol = _resolve_tol(args)
-    system, basis, _ = _build_system(args, tol)
     if (args.index is None) == (args.state is None):
         raise ValueError("simulate needs exactly one of --index or --state")
+    system, basis, _ = _build_system(args, tol)
     if args.index is not None:
         if not 1 <= args.index <= basis.size:
             raise ValueError(f"--index must be in 1..{basis.size}, got {args.index}")
@@ -406,5 +407,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_VALIDATION
 
 
+def run(argv: Sequence[str] | None = None) -> NoReturn:
+    """End the process with main's code, or that of argparse's SystemExit for
+    --help and usage errors, once the output is flushed: os._exit skips the
+    interpreter's teardown, so atexit handlers do not run (statesieve has none).
+    Any other exception propagates and the interpreter exits as usual."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        if not (e.code is None or isinstance(e.code, int)):
+            raise
+        code = e.code or EXIT_OK
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:  # output the reader never took: end as main does
+            code = EXIT_BROKEN_PIPE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

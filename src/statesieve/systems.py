@@ -243,6 +243,9 @@ def answer_codes(system: PropositionSystem, basis: "Basis",
     if system.dim != basis.dim:
         raise ValueError(
             f"dimension mismatch: system {system.dim}, basis {basis.dim}")
+    if system.diagonals is not None and basis.identity:
+        # each 0/1 diagonal entry is its own answer: column i is diagonal i
+        return np.array(system.diagonals.T, dtype=int, order="C")
     codes = np.zeros((basis.size, system.size), dtype=int)
     for i in range(system.size):
         codes[:, i] = basis.eigenvalue_bits(system.operator(i), tol, projector_index=i + 1)

@@ -183,6 +183,28 @@ class TestTransform:
             "['basis', 'codes', 'meet', 'partitions', 'projectors', 'unitary']")
 
 
+class TestArgumentErrorsComeFirst:
+    """A bad --emit list or a missing --index/--state is reported before any system is built."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["transform", "--emit", "spectra"], "unknown --emit items ['spectra']; choose from "
+         "['basis', 'codes', 'meet', 'partitions', 'projectors', 'unitary']"),
+        (["transform", "--emit", ","], "--emit needs at least one of "
+         "['basis', 'codes', 'meet', 'partitions', 'projectors', 'unitary']"),
+        (["simulate"], "simulate needs exactly one of --index or --state"),
+        (["simulate", "--index", "1", "--state", "state.json"],
+         "simulate needs exactly one of --index or --state"),
+    ])
+    def test_without_building_the_system(self, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("standard_system called")
+
+        monkeypatch.setattr(systems, "standard_system", refuse)
+        code, out, err = run_cli(capsys, *argv, "--n", "20", "--force")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
 class TestEnumerate:
     def test_count_only(self, capsys):
         payload = run_json(capsys, "enumerate", "--n", "2", "--count-only")

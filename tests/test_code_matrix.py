@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statesieve import (Partition, RequirementReport, answer_codes, is_atomic, meet,
-                        meet_all, minimality_certificate, named_basis, permute_system,
-                        refines, separates, standard_basis, standard_system,
+from statesieve import (Partition, RequirementReport, answer_codes, enumerate_systems,
+                        is_atomic, meet, meet_all, minimality_certificate, named_basis,
+                        permute_system, refines, separates, standard_basis, standard_system,
                         system_from_diagonals, system_partitions, systems, transformed_system)
 from statesieve.cli import main
 from statesieve.systems import standard_subset_meets_nonatomic
@@ -134,6 +134,35 @@ class TestCodeMatrixAgreement:
         whole = Partition.from_codes(answer_codes(system, basis))
         assert whole == meet_all(system_partitions(system, basis))
         assert separates(system, basis) == is_atomic(whole)
+
+
+def general_answer_codes(system, basis):
+    """answer_codes as it reads any system on any basis: one eigenvalue_bits pass per projector."""
+    codes = np.zeros((basis.size, system.size), dtype=int)
+    for i in range(system.size):
+        codes[:, i] = basis.eigenvalue_bits(system.operator(i), projector_index=i + 1)
+    return codes
+
+
+class TestCodesOfStoredDiagonals:
+    """On the identity-form basis a diagonal system's codes are its diagonals, transposed."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equal_to_the_general_path(self, n):
+        rng = np.random.default_rng(n)
+        stored = [standard_system(n), permute_system(standard_system(n), rng.permutation(2 ** n)),
+                  *enumerate_systems(n, limit=3), system_from_diagonals(
+                      rng.integers(0, 2, size=(n, 2 ** n)))]
+        basis = standard_basis(n)
+        for system in stored:
+            codes, expected = answer_codes(system, basis), general_answer_codes(system, basis)
+            assert codes.dtype == expected.dtype
+            assert codes.shape == expected.shape and codes.tobytes() == expected.tobytes()
+            assert codes.flags.c_contiguous and codes.flags.writeable
+
+    def test_dimension_mismatch_still_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            answer_codes(standard_system(2), standard_basis(3))
 
 
 class TestOneCodePassPerCommand:

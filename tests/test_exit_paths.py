@@ -1,0 +1,170 @@
+"""Every exit route of a fresh `python -m statesieve` process.
+
+A process ends through `cli.run`: it flushes stdout and stderr and calls
+os._exit, skipping the interpreter's teardown.  These tests run each route
+with PYTHONUNBUFFERED removed, where a missing flush would lose bytes, and
+check the exit code, the stderr text and stdout bytes against `cli.main` run
+in this process.
+"""
+
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from statesieve import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+PARITY_N3 = str(ROOT / "tests" / "golden" / "parity_n3.json")
+
+ROUTES = {
+    "ok": (["verify", "--n", "3"], cli.EXIT_OK),
+    "property": (["verify", "--file", PARITY_N3], cli.EXIT_PROPERTY_VIOLATION),
+    "usage": (["verify", "--tol", "x"], cli.EXIT_USAGE),
+    "validation": (["simulate", "--n", "30", "--index", "1"], cli.EXIT_VALIDATION),
+    "help": (["--help"], cli.EXIT_OK),
+    # about 163 kB and 57 kB: stdout is written in many buffer-sized pieces
+    "large": (["transform", "--n", "9", "--emit", "partitions,meet,codes"], cli.EXIT_OK),
+    "enumerate": (["enumerate", "--n", "2"], cli.EXIT_OK),
+}
+
+
+def buffered_env() -> dict:
+    """The environment of a child whose stdout is block-buffered when not a terminal."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUNBUFFERED", "SIEVE_TOL")}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8", COLUMNS="80")
+    return env
+
+
+def in_process(argv, monkeypatch) -> tuple[int, bytes, str]:
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal
+    monkeypatch.delenv("SIEVE_TOL", raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse's --help and usage errors
+            code = e.code
+    return code, out.getvalue().encode(), err.getvalue()
+
+
+def fresh(entry: list[str], argv: list[str], stdout,
+          stderr=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *entry, *argv], stdout=stdout, stderr=stderr,
+                          env=buffered_env(), cwd=ROOT, timeout=120, check=False)
+
+
+def closed_pipe(run):
+    """run(fd) with fd the write end of a pipe whose reader is already gone."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        return run(write_end)
+    finally:
+        os.close(write_end)
+
+
+def console_script() -> list[str]:
+    """What the `statesieve` script that pip generates from pyproject.toml runs."""
+    text = (ROOT / "pyproject.toml").read_text()
+    module, func = re.search(r'^statesieve = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_a_fresh_process_prints_what_main_prints(route, sink, tmp_path, monkeypatch):
+    argv, expected = ROUTES[route]
+    code, out, err = in_process(argv, monkeypatch)
+    assert code == expected
+    if sink == "pipe":
+        proc = fresh(["-m", "statesieve"], argv, subprocess.PIPE)
+        stdout = proc.stdout
+    else:
+        path = tmp_path / "stdout"
+        with open(path, "wb") as fh:
+            proc = fresh(["-m", "statesieve"], argv, fh)
+        stdout = path.read_bytes()
+    assert proc.returncode == expected
+    assert proc.stderr.decode() == err
+    assert stdout == out
+
+
+@pytest.mark.parametrize("route", ["help", "ok", "large"])
+def test_a_stdout_closed_before_the_first_write_ends_quietly_with_141(route):
+    argv, _ = ROUTES[route]
+    proc = closed_pipe(lambda fd: fresh(["-m", "statesieve"], argv, fd))
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""
+
+
+def test_a_usage_error_into_a_closed_stderr_ends_with_141():
+    argv, _ = ROUTES["usage"]
+    proc = closed_pipe(lambda fd: fresh(["-m", "statesieve"], argv, subprocess.PIPE, fd))
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+@pytest.mark.parametrize("entry", [["-m", "statesieve"], ["-m", "statesieve.cli"],
+                                   console_script()],
+                         ids=["__main__", "cli", "console-script"])
+def test_every_entry_point_ends_through_run(entry, monkeypatch):
+    # the interpreter's own exit path gives 120 here, not 141: stdout is flushed at teardown
+    proc = closed_pipe(lambda fd: fresh(entry, ["--help"], fd))
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
+    argv, expected = ROUTES["usage"]
+    code, _, err = in_process(argv, monkeypatch)
+    proc = fresh(entry, argv, subprocess.PIPE)
+    assert (proc.returncode, proc.stderr.decode(), proc.stdout) == (expected, err, b"")
+
+
+class ExitCalled(Exception):
+    pass
+
+
+@pytest.fixture
+def exit_code(monkeypatch):
+    """os._exit replaced by a recorder, so `cli.run` can be called in this process."""
+    codes = []
+
+    def fake_exit(code):
+        codes.append(code)
+        raise ExitCalled
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    return codes
+
+
+def test_run_exits_with_the_code_main_returns(exit_code, capsys):
+    with pytest.raises(ExitCalled):
+        cli.run(["verify", "--file", PARITY_N3])
+    assert exit_code == [cli.EXIT_PROPERTY_VIOLATION]
+    assert '"certified": false' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raised, code", [(SystemExit(None), 0), (SystemExit(2), 2)])
+def test_run_exits_with_the_code_of_a_system_exit(raised, code, exit_code, monkeypatch):
+    def main(argv=None):
+        raise raised
+
+    monkeypatch.setattr(cli, "main", main)
+    with pytest.raises(ExitCalled):
+        cli.run([])
+    assert exit_code == [code]
+
+
+@pytest.mark.parametrize("raised", [RuntimeError("boom"), SystemExit("a message")])
+def test_run_lets_any_other_exception_through(raised, exit_code, monkeypatch):
+    def main(argv=None):
+        raise raised
+
+    monkeypatch.setattr(cli, "main", main)
+    with pytest.raises(type(raised)):
+        cli.run([])
+    assert exit_code == []
