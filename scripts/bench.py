@@ -9,7 +9,8 @@ counts, sampling an eigenstate and a random state, measuring a random state,
 the enumeration count, the answer codes of the standard system, routing a
 standard basis state, `verify` and `simulate --state --sample`.  Once per
 run come `verify --n 16 --force` and `verify --n 18 --force`, past the
-dense-size guard, `question_count_stats` at n = 3 with 50000 trials (the
+dense-size guard, `simulate --n 16 --force --index 777`, which prints one of
+65536 labels, `question_count_stats` at n = 3 with 50000 trials (the
 slowest `stats` command of the cascade_sample workload), `sample_detections`
 of a random n = 3 state with 5 trials, where the fixed cost of seeding a call
 shows, the n = 10 sigma-product proposition of `xyyxyyxyyx`, and two CLI
@@ -60,6 +61,7 @@ ENUM_LIMIT = 1000     # n > 3 is enumerated only with a limit
 SEED = 42
 FORCE_N = 16          # `verify --force` here builds no 2^n x 2^n array
 LARGE_FORCE_N = 18
+FORCE_INDEX = 777
 LONG_STATS_TRIALS = 50000
 SHORT_SAMPLE_TRIALS = 5
 PAULI_AXES = "xyyxyyxyyx"  # the permuted triple's pattern at n = 10
@@ -181,6 +183,8 @@ def main(argv=None) -> int:
              lambda: _cli_stdout(["verify", "--n", str(FORCE_N), "--force"]))
     run_case("layer", f"cli.main verify --n {LARGE_FORCE_N} --force", LARGE_FORCE_N,
              lambda: _cli_stdout(["verify", "--n", str(LARGE_FORCE_N), "--force"]))
+    simulate = ["simulate", "--n", str(FORCE_N), "--force", "--index", str(FORCE_INDEX)]
+    run_case("layer", f"cli.main {' '.join(simulate)}", FORCE_N, lambda: _cli_stdout(simulate))
     system, state = standard_system(3), _random_state(3)
     run_case("layer", f"question_count_stats {LONG_STATS_TRIALS} trials", 3,
              lambda: repr(question_count_stats(3, LONG_STATS_TRIALS, SEED)).encode())

@@ -32,8 +32,9 @@ class Basis:
     `Basis(vectors, labels)` holds the dense (size, dim) array.  The standard
     basis is stored in identity form instead (`identity` is True): `vector(k)`
     builds one unit vector, `eigenvalue_bits` reads the Rayleigh quotients off
-    a projector's diagonal, and the dense N x N `vectors` and the N ket
-    `labels` are built only when something asks for them.
+    a projector's diagonal, `label(k)` builds one ket label, and the dense
+    N x N `vectors` and the N ket `labels` are built only when something asks
+    for them.
     """
 
     __slots__ = ("identity", "_shape", "_vectors", "_labels")
@@ -58,11 +59,18 @@ class Basis:
 
     @property
     def labels(self) -> Sequence[str]:
-        """One label per state; the identity form's are ket_label(k, n), built once."""
+        """One label per state; the identity form's are built once, from `label`."""
         if self._labels is None:
-            n = self.dim.bit_length() - 1
-            self._labels = tuple(ket_label(k, n) for k in range(self.dim))
+            self._labels = tuple(self.label(k) for k in range(1, self.size + 1))
         return self._labels
+
+    def label(self, k: int) -> str:
+        """Label of basis state k (1-based); on the identity form, ket_label(k - 1, n)."""
+        if not 1 <= k <= self.size:
+            raise ValueError(f"index must be in 1..{self.size}, got {k}")
+        if not self.identity:
+            return self.labels[k - 1]
+        return ket_label(k - 1, self.dim.bit_length() - 1)
 
     @property
     def size(self) -> int:

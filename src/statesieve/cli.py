@@ -2,9 +2,9 @@
 simulate, stats, and pauli subcommands with JSON (default) or text output.
 
 Exit codes: 0 success, 1 a verified property failed, 2 usage errors,
-3 validation/resource errors, 141 stdout closed by its reader.  SIEVE_TOL
-overrides the default tolerance; an explicit --tol wins over the environment.
-`run` is the process entry point; `main(argv)` returns the code in-process.
+3 validation/resource errors, 141 stdout or stderr closed by its reader.
+SIEVE_TOL overrides the default tolerance; an explicit --tol wins over the
+environment.  `run` is the process entry point; `main(argv)` returns the code.
 """
 
 from __future__ import annotations
@@ -101,13 +101,12 @@ def _build_system(args, tol: float) -> tuple[PropositionSystem, Basis, NamedUnit
     return system, basis, unitary
 
 
-def _check_dense_limit(args, n: int) -> None:
-    """pauli and minimality build dense matrices, and --force does not lift their
-    n <= MAX_N guard: name that limit rather than advise --force."""
+def _check_dense_limit(what: str, n: int) -> None:
+    """Outputs that build or print N x N numbers keep the n <= MAX_N guard under
+    --force: name that limit rather than advise --force."""
     from .systems import MAX_N
     if n > MAX_N:
-        raise ValueError(f"{args.command} is limited to n <= {MAX_N}, even with --force; "
-                         f"got n = {n}")
+        raise ValueError(f"{what} is limited to n <= {MAX_N}, even with --force; got n = {n}")
 
 
 def _fmt_complex(z: complex) -> str:
@@ -147,24 +146,26 @@ def _render_text(obj: Any, indent: str = "") -> str:
     return indent + str(obj)
 
 
-def _emit(args, payload: Any) -> None:
+def _render(args, payload: Any) -> str:
     if args.format == "text":
-        print(_render_text(payload))
-    else:
-        print(json.dumps(payload, indent=2, allow_nan=False))
+        return _render_text(payload)
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
-def _cmd_build(args) -> int:
+def _report(e: Exception) -> int:
+    """Print e as the one JSON error line on stderr; return the validation code."""
+    print(json.dumps({"error": {"type": type(e).__name__, "message": str(e)}}), file=sys.stderr)
+    return EXIT_VALIDATION
+
+
+def _cmd_build(args) -> tuple[Any, int]:
     from . import jsonio
-    tol = _resolve_tol(args)
-    system, _, _ = _build_system(args, tol)
-    payload = jsonio.system_to_json(system)
-    payload["basis"] = args.basis
-    _emit(args, payload)
-    return EXIT_OK
+    _check_dense_limit(args.command, args.n)
+    system, _, _ = _build_system(args, _resolve_tol(args))
+    return {**jsonio.system_to_json(system), "basis": args.basis}, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[Any, int]:
     from . import jsonio
     from .bases import standard_basis
     from .systems import verify_system
@@ -178,14 +179,11 @@ def _cmd_verify(args) -> int:
 
     failures, report, separating = verify_system(system, basis, tol)
     payload = jsonio.requirement_report_to_json(report) if report is not None else {}
-    payload["certified"] = not failures
-    payload["separates"] = separating
-    payload["failures"] = failures
-    _emit(args, payload)
-    return EXIT_OK if not failures else EXIT_PROPERTY_VIOLATION
+    payload.update(certified=not failures, separates=separating, failures=failures)
+    return payload, EXIT_OK if not failures else EXIT_PROPERTY_VIOLATION
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> tuple[Any, int]:
     from . import jsonio
     from .partitions import Partition, is_atomic
     from .systems import answer_codes
@@ -197,6 +195,8 @@ def _cmd_transform(args) -> int:
         raise ValueError(f"unknown --emit items {sorted(unknown)}; choose from {sorted(known)}")
     if not wanted:
         raise ValueError(f"--emit needs at least one of {sorted(known)}")
+    for item in sorted({"projectors", "basis"} & set(wanted)):  # N x N amplitudes each
+        _check_dense_limit(f"{args.command} --emit {item}", args.n)
     system, basis, unitary = _build_system(args, tol)
     payload: dict[str, Any] = {"n": args.n, "basis": args.basis}
     if "projectors" in wanted:
@@ -218,25 +218,24 @@ def _cmd_transform(args) -> int:
     if "unitary" in wanted:
         payload["unitary"] = (jsonio.matrix_to_json(unitary.matrix)
                               if unitary is not None else None)
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[Any, int]:
     from .systems import count_systems, enumerate_systems
     if args.count_only:
         payload: dict[str, Any] = {
             "n": args.n, "count": count_systems(args.n, limit=args.limit, force=args.force)}
     else:
         from . import jsonio
+        _check_dense_limit(args.command, args.n)
         systems_json = [jsonio.system_to_json(system) for system in
                         enumerate_systems(args.n, limit=args.limit, force=args.force)]
         payload = {"n": args.n, "count": len(systems_json), "systems": systems_json}
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[Any, int]:
     from . import jsonio
     from .sieve import measure_and_sample, measure_state, route_basis_state, sample_detections
     tol = _resolve_tol(args)
@@ -249,7 +248,7 @@ def _cmd_simulate(args) -> int:
         state = basis.vector(args.index)
         outcome = route_basis_state(system, basis, args.index, tol)
         payload: dict[str, Any] = jsonio.outcome_to_json(outcome)
-        payload["state"] = basis.labels[args.index - 1]
+        payload["state"] = basis.label(args.index)
         if args.sample:
             counts = sample_detections(system, state, args.sample, args.seed, tol)
     else:
@@ -262,54 +261,56 @@ def _cmd_simulate(args) -> int:
     if args.sample:
         payload["sample"] = {"trials": args.sample, "seed": args.seed,
                              "counts": counts}
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> tuple[Any, int]:
     from . import jsonio
     from .sieve import question_count_stats
     summary = question_count_stats(args.n, args.trials, args.seed,
                                    infer_last=args.infer_last, force=args.force)
-    _emit(args, [jsonio.stats_to_json(summary.naive),
-                 jsonio.stats_to_json(summary.sieve)])
-    return EXIT_OK
+    return [jsonio.stats_to_json(summary.naive), jsonio.stats_to_json(summary.sieve)], EXIT_OK
 
 
-def _cmd_pauli(args) -> int:
+def _cmd_pauli(args) -> tuple[Any, int]:
     from . import jsonio
     from .paulis import CERECEDA_AXES, cereceda_system, normalize_axes, sigma_product_proposition
     from .systems import certify_system
     tol = _resolve_tol(args)
     if args.cereceda:
         system = cereceda_system()
-        payload = jsonio.system_to_json(system)
-        payload["axes"] = list(CERECEDA_AXES)
         failures = certify_system(system, tol)
-        payload["certified"] = not failures
-        _emit(args, payload)
-        return EXIT_OK if not failures else EXIT_PROPERTY_VIOLATION
+        payload = {**jsonio.system_to_json(system), "axes": list(CERECEDA_AXES),
+                   "certified": not failures}
+        return payload, EXIT_OK if not failures else EXIT_PROPERTY_VIOLATION
     if not args.axes:
         raise ValueError("pauli needs --axes or --cereceda")
     axes = normalize_axes(args.axes)
-    _check_dense_limit(args, len(axes))
+    _check_dense_limit(args.command, len(axes))
     p = sigma_product_proposition(axes)
-    payload = {"axes": args.axes, "proposition": jsonio.matrix_to_json(p)}
-    _emit(args, payload)
-    return EXIT_OK
+    return {"axes": args.axes, "proposition": jsonio.matrix_to_json(p)}, EXIT_OK
 
 
-def _cmd_minimality(args) -> int:
+def _cmd_minimality(args) -> tuple[Any, int]:
     from . import jsonio
     from .systems import minimality_certificate
-    _check_dense_limit(args, args.n)
+    _check_dense_limit(args.command, args.n)
     report = minimality_certificate(args.n)
-    _emit(args, jsonio.minimality_report_to_json(report))
-    return EXIT_OK if report.ok else EXIT_PROPERTY_VIOLATION
+    return (jsonio.minimality_report_to_json(report),
+            EXIT_OK if report.ok else EXIT_PROPERTY_VIOLATION)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Help and usage text let a failed write through to `run`, as command output
+    does; argparse's own drops it on 3.11.  Subparsers are of the same class."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="statesieve",
         description="Construct, verify, transform, enumerate, and simulate "
                     "minimal yes-no proposition systems over 2^n states.")
@@ -391,38 +392,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; an error writing its output (BrokenPipeError too) propagates."""
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
-        return code
-    except BrokenPipeError:
-        # what is still buffered goes nowhere, so the flush at exit raises nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        payload, code = args.func(args)
+        text = _render(args, payload)  # a NaN in the payload is a ValueError here
     except (ValueError, OSError, MemoryError) as e:
-        error = {"error": {"type": type(e).__name__, "message": str(e)}}
-        print(json.dumps(error), file=sys.stderr)
-        return EXIT_VALIDATION
+        return _report(e)
+    print(text)  # the one write of command output
+    return code
 
 
 def run(argv: Sequence[str] | None = None) -> NoReturn:
     """End the process with main's code, or that of argparse's SystemExit for
     --help and usage errors, once the output is flushed: os._exit skips the
     interpreter's teardown, so atexit handlers do not run (statesieve has none).
-    Any other exception propagates and the interpreter exits as usual."""
+    Any write to a stream whose reader has gone ends it with 141, any other failed
+    write (a full disk) with 3; other exceptions propagate as usual."""
     try:
-        code = main(argv)
-    except SystemExit as e:
-        if not (e.code is None or isinstance(e.code, int)):
-            raise
-        code = e.code or EXIT_OK
-    for stream in (sys.stdout, sys.stderr):
         try:
-            stream.flush()
-        except BrokenPipeError:  # output the reader never took: end as main does
-            code = EXIT_BROKEN_PIPE
+            code = main(argv)
+        except SystemExit as e:
+            if not (e.code is None or isinstance(e.code, int)):
+                raise
+            code = e.code or EXIT_OK
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    except OSError as e:
+        code = _report(e)
     os._exit(code)
 
 

@@ -18,10 +18,10 @@ import numpy as np
 
 from .linalg import (DEFAULT_TOL, EigenbasisError, commutator_norm, is_projector, max_abs,
                      quotient_bits)
-from .partitions import Partition
 
 if TYPE_CHECKING:
     from .bases import Basis
+    from .partitions import Partition
 
 MAX_N = 10          # dense 2^n x 2^n matrices stay cheap up to here
 INDEX_MAX_N = 62    # 2^n positions fit a 64-bit numpy index up to here, force or not
@@ -254,6 +254,7 @@ def answer_codes(system: PropositionSystem, basis: "Basis",
 
 def system_partitions(system: PropositionSystem, basis: "Basis",
                       tol: float = DEFAULT_TOL) -> list[Partition]:
+    from .partitions import Partition
     return [Partition.from_codes(column) for column in answer_codes(system, basis, tol).T]
 
 

@@ -19,11 +19,12 @@ def test_bench_script_at_n_2(tmp_path):
     assert {"nproc", "cpu_model"} <= record["machine"].keys()
     assert {"python", "numpy"} <= record["software"].keys()
     cases = {(c["kind"], c["name"]): c for c in record["cases"]}
-    assert len(cases) == len(record["cases"]) == 20
+    assert len(cases) == len(record["cases"]) == 21
     assert all(c["best_ms"] > 0 and len(c["sha256"]) == 64 for c in cases.values())
     assert all(("peak_mb" in c) == (c["kind"] == "layer") for c in cases.values())
     assert cases["layer", "cli.main verify --force"]["n"] == 16
     assert cases["layer", "cli.main verify --n 18 --force"]["n"] == 18
+    assert cases["layer", "cli.main simulate --n 16 --force --index 777"]["n"] == 16
     assert cases["layer", "question_count_stats 50000 trials"]["n"] == 3
     assert cases["layer", "sample_detections 5 trials"]["n"] == 3
     assert cases["layer", "sigma_product_proposition xyyxyyxyyx"]["n"] == 10

@@ -232,8 +232,50 @@ class TestEnumerate:
 
     def test_force_overrides_the_dimension_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(systems, "MAX_N", 2)
-        payload = run_json(capsys, "enumerate", "--n", "3", "--limit", "1", "--force")
-        assert payload["count"] == 1 and payload["systems"][0]["n"] == 3
+        assert next(systems.enumerate_systems(3, limit=1, force=True)).n == 3
+        payload = run_json(capsys, "enumerate", "--n", "3", "--limit", "1", "--force",
+                           "--count-only")
+        assert payload == {"n": 3, "count": 1}
+        # the full output prints N x N projectors: --force does not lift that limit
+        code, out, err = run_cli(capsys, "enumerate", "--n", "3", "--limit", "1", "--force")
+        assert code == 3 and out == ""
+        assert "enumerate is limited to n <= 2, even with --force" in err
+
+
+class TestDenseOutputsKeepTheirLimit:
+    """build, transform --emit projectors or basis and full enumerate print N x N
+    numbers, so --force does not lift their n <= 10 limit; nothing dense is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_array(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense array built")
+
+        monkeypatch.setattr(systems.PropositionSystem, "projectors", property(refuse))
+        monkeypatch.setattr(bases.Basis, "vectors", property(refuse))
+        monkeypatch.setattr(bases.Basis, "vector", refuse)
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    @pytest.mark.parametrize("argv, what", [
+        (["build"], "build"),
+        (["transform", "--emit", "projectors"], "transform --emit projectors"),
+        (["transform", "--emit", "codes,basis"], "transform --emit basis"),
+        (["enumerate", "--limit", "1"], "enumerate"),
+    ])
+    def test_past_n_10_is_refused(self, capsys, argv, what, force):
+        code, out, err = run_cli(capsys, *argv, "--n", "11", *force)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": f"{what} is limited to n <= 10, even with --force; got n = 11"}
+
+    @pytest.mark.parametrize("argv", [
+        "transform --n 12 --force --emit codes",  # CI runs both at n = 16
+        "partition --n 12 --force",
+        "enumerate --n 62 --force --limit 1 --count-only",
+    ])
+    def test_structured_outputs_still_run(self, capsys, argv):
+        assert main(argv.split()) == 0, capsys.readouterr().err
 
 
 class TestPartitionCommand:

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary
-from statesieve import (Basis, PropositionSystem, answer_codes, partition_from_projector,
-                        permute_system, route_basis_state, standard_basis, standard_system,
-                        transformed_system)
+from statesieve import (Basis, PropositionSystem, answer_codes, ket_label, named_basis,
+                        partition_from_projector, permute_system, route_basis_state,
+                        standard_basis, standard_system, transformed_system)
 from statesieve.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,6 +103,19 @@ class TestIdentityForm:
             with pytest.raises(ValueError, match=rf"index must be in 1\.\.8, got {k}"):
                 basis.vector(k)
 
+    @pytest.mark.parametrize("key, n", [("standard", n) for n in range(1, 7)]
+                             + [("ghz", 3), ("w", 3), ("equal_weight", 3)])
+    def test_one_label_is_its_entry_in_labels(self, key, n):
+        basis, _ = named_basis(key, n)
+        labels = [basis.label(k) for k in range(1, basis.size + 1)]
+        if basis.identity:
+            assert basis._labels is None  # label(k) built one label, not the N
+            assert labels == [ket_label(k, n) for k in range(2 ** n)]
+        assert labels == list(basis.labels)
+        for k in (0, basis.size + 1):
+            with pytest.raises(ValueError, match=rf"index must be in 1\.\.{basis.size}, got {k}"):
+                basis.label(k)
+
     def test_vector_of_a_dense_basis_is_its_row(self):
         rows = haar_unitary(3, 4)
         basis = Basis(rows, ("a", "b", "c", "d"))
@@ -129,3 +142,12 @@ def dense_vectors_refused(monkeypatch):
 def test_standard_basis_commands_never_read_the_dense_vectors(dense_vectors_refused, argv, code):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == code
+
+
+def test_simulate_index_builds_one_label(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("all N labels built")
+
+    monkeypatch.setattr(Basis, "labels", property(refuse))
+    assert main(["simulate", "--n", "12", "--force", "--index", "777"]) == 0
+    assert '"state": "|++--++++-+++>"' in capsys.readouterr().out

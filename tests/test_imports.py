@@ -47,9 +47,12 @@ def imported(*args: str) -> set[str]:
      ["linalg", "systems", "bases", "partitions", "paulis", "sieve", "jsonio", "_trials"]),
     (["-m", "statesieve", "--help"],
      ["systems", "bases", "partitions", "paulis", "sieve", "jsonio", "_trials"]),
-    (["-m", "statesieve", "verify", "--n", "3"], ["paulis", "sieve", "_trials"]),
-    (["-m", "statesieve", "stats", "--n", "3", "--trials", "10"], ["bases", "paulis"]),
-], ids=["import", "help", "verify", "stats"])
+    (["-m", "statesieve", "verify", "--n", "3"], ["partitions", "paulis", "sieve", "_trials"]),
+    (["-m", "statesieve", "stats", "--n", "3", "--trials", "10"],
+     ["bases", "partitions", "paulis"]),
+    (["-m", "statesieve", "simulate", "--n", "3", "--index", "3"],
+     ["partitions", "paulis", "_trials"]),
+], ids=["import", "help", "verify", "stats", "simulate"])
 def test_a_command_loads_only_the_modules_it_calls(args, absent):
     modules = imported(*args)
     assert "statesieve" in modules
