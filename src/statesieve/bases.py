@@ -66,11 +66,10 @@ class Basis:
 
     def label(self, k: int) -> str:
         """Label of basis state k (1-based); on the identity form, ket_label(k - 1, n)."""
-        if not 1 <= k <= self.size:
-            raise ValueError(f"index must be in 1..{self.size}, got {k}")
+        i = self.rows(k).start
         if not self.identity:
-            return self.labels[k - 1]
-        return ket_label(k - 1, self.dim.bit_length() - 1)
+            return self.labels[i]
+        return ket_label(i, self.dim.bit_length() - 1)
 
     @property
     def size(self) -> int:
@@ -80,28 +79,37 @@ class Basis:
     def dim(self) -> int:
         return self._shape[1]
 
+    def rows(self, k: int | None = None) -> slice:
+        """Rows of basis state k (1-based), or of all for None, after the one range check."""
+        if k is not None and not 1 <= k <= self.size:
+            raise ValueError(f"index must be in 1..{self.size}, got {k}")
+        return slice(None) if k is None else slice(k - 1, k)
+
     def vector(self, k: int) -> np.ndarray:
         """Basis state k (1-based) as a complex vector of length dim."""
-        if not 1 <= k <= self.size:
-            raise ValueError(f"index must be in 1..{self.size}, got {k}")
+        i = self.rows(k).start
         if not self.identity:
-            return self.vectors[k - 1]
+            return self.vectors[i]
         v = np.zeros(self.dim, dtype=complex)
-        v[k - 1] = 1
+        v[i] = 1
         return v
 
     def eigenvalue_bits(self, p: np.ndarray, tol: float = DEFAULT_TOL,
-                        projector_index: int | None = None) -> np.ndarray:
+                        projector_index: int | None = None,
+                        index: int | None = None) -> np.ndarray:
         """0/1 eigenvalues of projector p (dense, or a 1-D diagonal) on every
-        basis vector, as linalg.eigenvalue_bits gives them on `vectors`.
+        basis vector, or on vector `index` (1-based) alone, as
+        linalg.eigenvalue_bits gives them on those rows of `vectors`.
 
         On the identity the Rayleigh quotients are p's real diagonal: the
         dense products give exactly that, each factor from a unit vector
         being an exact 0 or 1.
         """
+        rows, first = self.rows(index), index or 1
         if not self.identity:
-            return eigenvalue_bits(p, self.vectors, tol, projector_index)
-        return quotient_bits(p if p.ndim == 1 else np.real(np.diag(p)), tol, projector_index)
+            return eigenvalue_bits(p, self.vectors[rows], tol, projector_index, first)
+        d = p if p.ndim == 1 else np.real(np.diag(p))
+        return quotient_bits(d[rows], tol, projector_index, first)
 
     def gram_defect(self) -> float:
         """Max deviation of the Gram matrix from the identity."""

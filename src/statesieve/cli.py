@@ -245,12 +245,12 @@ def _cmd_simulate(args) -> tuple[Any, int]:
     if args.index is not None:
         if not 1 <= args.index <= basis.size:
             raise ValueError(f"--index must be in 1..{basis.size}, got {args.index}")
-        state = basis.vector(args.index)
         outcome = route_basis_state(system, basis, args.index, tol)
         payload: dict[str, Any] = jsonio.outcome_to_json(outcome)
         payload["state"] = basis.label(args.index)
         if args.sample:
-            counts = sample_detections(system, state, args.sample, args.seed, tol)
+            counts = sample_detections(system, basis.vector(args.index), args.sample,
+                                       args.seed, tol)
     else:
         state = _read_json(args.state, jsonio.vector_from_json)
         if args.sample:  # one branch-weight tree for both

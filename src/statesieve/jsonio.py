@@ -49,6 +49,13 @@ def _int_field(obj: Any, name: str, what: str, high: int | None = None) -> int:
     return value
 
 
+def _list_field(obj: Any, name: str, what: str) -> list:
+    value = _field(obj, name, what)
+    if not isinstance(value, list):
+        raise ValueError(f"{what} field {name!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def matrix_from_json(obj: Any) -> np.ndarray:
     """Decode a matrix, raising ValueError that names a missing or malformed field."""
     rows, cols = _int_field(obj, "rows", "matrix"), _int_field(obj, "cols", "matrix")
@@ -87,9 +94,7 @@ def system_from_json(obj: Any) -> PropositionSystem:
     """Decode a dense system, raising ValueError that names a missing or malformed field."""
     from .systems import INDEX_MAX_N, PropositionSystem
     n = _int_field(obj, "n", "system", high=INDEX_MAX_N)
-    raw = _field(obj, "projectors", "system")
-    if not isinstance(raw, list):
-        raise ValueError(f"system field 'projectors' must be a list, got {type(raw).__name__}")
+    raw = _list_field(obj, "projectors", "system")
     projs = []
     for i, p in enumerate(raw, start=1):
         try:
@@ -103,10 +108,15 @@ def partition_to_json(p: Partition) -> dict[str, Any]:
     return {"ground": p.ground_size, "blocks": [list(b) for b in p.blocks]}
 
 
-def partition_from_json(obj: dict[str, Any]) -> Partition:
+def partition_from_json(obj: Any) -> Partition:
+    """Decode a partition, raising ValueError that names a missing or malformed field."""
     from .partitions import Partition
-    return Partition(int(obj["ground"]),
-                     tuple(tuple(int(i) for i in b) for b in obj["blocks"]))
+    blocks = _list_field(obj, "blocks", "partition")
+    if not all(isinstance(b, list) and all(type(i) is int for i in b) for b in blocks):
+        raise ValueError("partition field 'blocks' must hold lists of integers")
+    # a partition of 1..ground holds ground indices, so no larger ground is read
+    ground = _int_field(obj, "ground", "partition", high=sum(map(len, blocks)))
+    return Partition(ground, tuple(map(tuple, blocks)))
 
 
 def basis_to_json(b: Basis) -> dict[str, Any]:
@@ -114,10 +124,21 @@ def basis_to_json(b: Basis) -> dict[str, Any]:
             "vectors": [vector_to_json(b.vector(k)) for k in range(1, b.size + 1)]}
 
 
-def basis_from_json(obj: dict[str, Any]) -> Basis:
+def basis_from_json(obj: Any) -> Basis:
+    """Decode a basis, raising ValueError that names a missing or malformed field."""
     from .bases import Basis
-    vectors = np.array([vector_from_json(v) for v in obj["vectors"]])
-    return Basis(vectors, tuple(obj["labels"]))
+    raw, labels = _list_field(obj, "vectors", "basis"), _list_field(obj, "labels", "basis")
+    vectors = []
+    for k, v in enumerate(raw, start=1):
+        try:
+            vectors.append(vector_from_json(v))
+        except ValueError as e:
+            raise ValueError(f"basis field 'vectors' entry {k}: {e}") from None
+    if not vectors or any(len(v) != len(vectors[0]) for v in vectors):
+        raise ValueError("basis field 'vectors' must hold one or more vectors of one length")
+    if len(labels) != len(vectors) or not all(isinstance(s, str) for s in labels):
+        raise ValueError(f"basis field 'labels' must hold {len(vectors)} strings")
+    return Basis(np.array(vectors), tuple(labels))
 
 
 def requirement_report_to_json(r: RequirementReport) -> dict[str, Any]:

@@ -165,7 +165,7 @@ def quotient_bits(q: np.ndarray, tol: float = DEFAULT_TOL,
 def eigenvalue_bit(p: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL,
                    projector_index: int | None = None,
                    vector_index: int | None = None) -> int:
-    """0/1 eigenvalue of projector p on normalized eigenvector v (see eigenvalue_bits)."""
+    """0/1 eigenvalue of projector p on normalized v: eigenvalue_bits' scalar reference."""
     return int(eigenvalue_bits(p, [v], tol, projector_index, vector_index)[0])
 
 

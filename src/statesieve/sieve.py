@@ -13,8 +13,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_vector, eigenvalue_bit
-from .systems import PropositionSystem, _check_n
+from .linalg import DEFAULT_TOL, as_vector
+from .systems import PropositionSystem, _check_n, answer_codes
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -76,16 +76,10 @@ def route_basis_state(system: PropositionSystem, basis: "Basis", index: int,
                       tol: float = DEFAULT_TOL) -> DetectorOutcome:
     """Deterministic detector for basis vector `index` (1-based).
 
-    The vector must be a common eigenvector of every projector; answer
-    bit i is the eigenvalue of projector i on it.
+    The vector must be a common eigenvector of every projector; its answer
+    bits are its row of the answer-code matrix.
     """
-    if system.dim != basis.dim:
-        raise ValueError(
-            f"dimension mismatch: system {system.dim}, basis {basis.dim}")
-    v = basis.vector(index)
-    bits = tuple(
-        eigenvalue_bit(system.operator(i), v, tol, projector_index=i + 1, vector_index=index)
-        for i in range(system.size))
+    bits = tuple(answer_codes(system, basis, tol, index)[0].tolist())
     return DetectorOutcome(bits, detector_for_bits(bits))
 
 
@@ -189,15 +183,16 @@ def naive_search(n: int, target_index: int, question_order: Sequence[int],
                  infer_last: bool = False) -> QuestionCountRecord:
     """Ask "is it state i?" in the given order until the target says yes.
 
-    question_order is a permutation of 1..2^n.  By default the final
+    question_order is a permutation of 1..2^n, for n in 1..62; it is
+    checked for its length before it is sorted.  By default the final
     question is counted even when its answer is forced after 2^n - 1
     noes; infer_last drops that forced question.
     """
-    dim = 2 ** n
+    dim = _check_n(n, force=True)
     if not 1 <= target_index <= dim:
         raise ValueError(f"target_index must be in 1..{dim}, got {target_index}")
     order = list(question_order)
-    if sorted(order) != list(range(1, dim + 1)):
+    if len(order) != dim or sorted(order) != list(range(1, dim + 1)):
         raise ValueError("question_order must be a permutation of 1..2^n")
     asked = order.index(target_index) + 1  # the target's 1-based place in the order
     if infer_last and asked == dim:

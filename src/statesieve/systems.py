@@ -234,21 +234,23 @@ def _certification_failures(system: PropositionSystem, tol: float,
     return failures
 
 
-def answer_codes(system: PropositionSystem, basis: "Basis",
-                 tol: float = DEFAULT_TOL) -> np.ndarray:
+def answer_codes(system: PropositionSystem, basis: "Basis", tol: float = DEFAULT_TOL,
+                 index: int | None = None) -> np.ndarray:
     """The (N, n) 0/1 answer-code matrix: row k holds the eigenvalues of the
-    projectors on basis vector k + 1.  A basis vector that is not a common
-    eigenvector raises EigenbasisError naming the projector and the vector.
+    projectors on basis vector k + 1; with a 1-based index, the (1, n) row
+    read from that vector alone.  A vector that is not a common eigenvector
+    raises EigenbasisError naming the projector and the vector.
     """
     if system.dim != basis.dim:
         raise ValueError(
             f"dimension mismatch: system {system.dim}, basis {basis.dim}")
+    rows = basis.rows(index)
     if system.diagonals is not None and basis.identity:
         # each 0/1 diagonal entry is its own answer: column i is diagonal i
-        return np.array(system.diagonals.T, dtype=int, order="C")
-    codes = np.zeros((basis.size, system.size), dtype=int)
+        return np.array(system.diagonals[:, rows].T, dtype=int, order="C")
+    codes = np.zeros((basis.size if index is None else 1, system.size), dtype=int)
     for i in range(system.size):
-        codes[:, i] = basis.eigenvalue_bits(system.operator(i), tol, projector_index=i + 1)
+        codes[:, i] = basis.eigenvalue_bits(system.operator(i), tol, i + 1, index)
     return codes
 
 
@@ -370,9 +372,12 @@ def permute_system(system: PropositionSystem,
 
 
 def _check_enumeration(n: int, limit: int | None, force: bool) -> int:
-    """N = 2^n after the size guard and the full-enumeration guard: all N!
-    systems are refused for n > 3 unless a limit or force is given."""
+    """N = 2^n after the size guard, the limit check and the full-enumeration
+    guard: all N! systems are refused for n > 3 unless a limit or force is given."""
     dim = _check_n(n, force)
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, (int, np.integer))
+                              or limit < 0):
+        raise ValueError(f"limit must be None or an integer >= 0, got {limit!r}")
     if limit is None and n > FULL_ENUM_MAX_N and not force:
         raise ResourceLimitError(
             f"full enumeration for n = {n} means {dim}! systems; "
@@ -398,7 +403,7 @@ def count_systems(n: int, limit: int | None = None, force: bool = False) -> int:
         if product >= limit:
             break
         product *= k
-    return min(limit, product)
+    return int(min(limit, product))
 
 
 def enumerate_systems(n: int, limit: int | None = None,

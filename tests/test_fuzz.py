@@ -31,7 +31,7 @@ def matrices(values):
 
 
 def containers(children):
-    fields = ("rows", "cols", "data", "n", "projectors")
+    fields = ("rows", "cols", "data", "n", "projectors", "ground", "blocks", "labels", "vectors")
     return (st.lists(children, max_size=4)
             | st.dictionaries(st.text(max_size=3), children, max_size=3)
             | st.fixed_dictionaries({}, optional={k: children for k in fields})
@@ -56,7 +56,8 @@ json_values = valid_documents | st.recursive(scalars | valid_documents, containe
 @settings(max_examples=200, deadline=None)
 @given(json_values)
 def test_decoders_raise_only_value_error(value):
-    for decode in (jsonio.matrix_from_json, jsonio.vector_from_json, jsonio.system_from_json):
+    for decode in (jsonio.matrix_from_json, jsonio.vector_from_json, jsonio.system_from_json,
+                   jsonio.partition_from_json, jsonio.basis_from_json):
         try:
             decode(value)
         except ValueError:

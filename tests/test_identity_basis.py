@@ -11,10 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import statesieve.bases as bases
+import statesieve.linalg as linalg
+import statesieve.systems as systems
 from conftest import haar_unitary
-from statesieve import (Basis, PropositionSystem, answer_codes, ket_label, named_basis,
-                        partition_from_projector, permute_system, route_basis_state,
-                        standard_basis, standard_system, transformed_system)
+from statesieve import (Basis, DetectorOutcome, EigenbasisError, PropositionSystem, answer_codes,
+                        detector_for_bits, ket_label, named_basis, partition_from_projector,
+                        permute_system, route_basis_state, standard_basis, standard_diagonals,
+                        standard_system, transformed_system)
 from statesieve.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,6 +107,17 @@ class TestIdentityForm:
             with pytest.raises(ValueError, match=rf"index must be in 1\.\.8, got {k}"):
                 basis.vector(k)
 
+    @pytest.mark.parametrize("k", [0, 9, -1])
+    def test_every_read_of_one_state_shares_the_range_check(self, k):
+        system = standard_system(3)
+        for basis in (standard_basis(3), dense_twin(standard_basis(3))):
+            for read in (basis.rows, basis.vector, basis.label,
+                         lambda k: basis.eigenvalue_bits(system.operator(0), index=k),
+                         lambda k: answer_codes(system, basis, index=k),
+                         lambda k: route_basis_state(system, basis, k)):
+                with pytest.raises(ValueError, match=rf"^index must be in 1\.\.8, got {k}$"):
+                    read(k)
+
     @pytest.mark.parametrize("key, n", [("standard", n) for n in range(1, 7)]
                              + [("ghz", 3), ("w", 3), ("equal_weight", 3)])
     def test_one_label_is_its_entry_in_labels(self, key, n):
@@ -151,3 +166,45 @@ def test_simulate_index_builds_one_label(monkeypatch, capsys):
     monkeypatch.setattr(Basis, "labels", property(refuse))
     assert main(["simulate", "--n", "12", "--force", "--index", "777"]) == 0
     assert '"state": "|++--++++-+++>"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_routing_reads_the_code_row_without_computing_a_bit(monkeypatch, n):
+    """Every state of a permuted diagonal system on the identity form routes by
+    its column of the stored diagonals: no unit vector is built and no Rayleigh
+    quotient is formed or rounded."""
+    system = permute_system(standard_system(n), np.random.default_rng(n).permutation(2 ** n))
+    basis = standard_basis(n)
+    want = [tuple(column.tolist()) for column in system.diagonals.T]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an answer bit was computed, not read")
+
+    monkeypatch.setattr(Basis, "vector", refuse)
+    for module, name in ((linalg, "eigenvalue_bits"), (linalg, "quotient_bits"),
+                         (bases, "eigenvalue_bits"), (bases, "quotient_bits"),
+                         (systems, "quotient_bits")):
+        monkeypatch.setattr(module, name, refuse)
+    for k, bits in enumerate(want, start=1):
+        assert route_basis_state(system, basis, k) == DetectorOutcome(bits, detector_for_bits(bits))
+        assert answer_codes(system, basis, index=k).tolist() == [list(bits)]
+
+
+def test_one_state_is_read_from_its_own_vector_alone():
+    """Vector 5 is a common eigenvector of the standard projectors and vector 1 is
+    not: routing state 5 and reading its code row never look at vector 1."""
+    vectors = np.eye(8, dtype=complex)
+    vectors[:2, :2] = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    basis = Basis(vectors, tuple("abcdefgh"))
+    diagonal = standard_system(3)
+    for system in (diagonal, PropositionSystem(3, diagonal.projectors)):
+        row = standard_diagonals(3)[:, 4]
+        assert answer_codes(system, basis, index=5).tolist() == [row.tolist()]
+        assert route_basis_state(system, basis, 5) == route_basis_state(
+            system, standard_basis(3), 5)
+        for read in (lambda: answer_codes(system, basis),
+                     lambda: answer_codes(system, basis, index=1),
+                     lambda: route_basis_state(system, basis, 1)):
+            with pytest.raises(EigenbasisError, match=r"\(projector 3, vector 1\)$") as e:
+                read()
+            assert (e.value.projector_index, e.value.vector_index) == (3, 1)

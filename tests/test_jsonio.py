@@ -73,6 +73,9 @@ class TestVectorFormat:
             jsonio.vector_from_json(jsonio.matrix_to_json(np.eye(2)))
 
 
+E1 = {"rows": 2, "cols": 1, "data": [[1, 0], [0, 0]]}
+
+
 class TestStructures:
     def test_system_round_trip(self):
         system = standard_system(2)
@@ -101,6 +104,41 @@ class TestStructures:
         obj = jsonio.partition_to_json(p)
         assert obj == {"ground": 8, "blocks": [[1, 4, 6, 7], [2, 3, 5, 8]]}
         assert jsonio.partition_from_json(obj) == p
+
+    @pytest.mark.parametrize("obj, field", [
+        ([], "partition must be a JSON object"),
+        ({"ground": 2}, "missing field 'blocks'"),
+        ({"blocks": [[1], [2]]}, "missing field 'ground'"),
+        ({"ground": 2, "blocks": {}}, "'blocks' must be a list"),
+        ({"ground": 2, "blocks": [1, 2]}, "'blocks' must hold lists of integers"),
+        ({"ground": 2, "blocks": [[1], [2.0]]}, "'blocks' must hold lists of integers"),
+        ({"ground": 2, "blocks": [[True], [2]]}, "'blocks' must hold lists of integers"),
+        ({"ground": 2.7, "blocks": [[1], [2]]}, "'ground' must be an integer in 1..2, got 2.7"),
+        ({"ground": True, "blocks": [[1], [2]]}, "'ground' must be an integer in 1..2, got True"),
+        ({"ground": "2", "blocks": [[1], [2]]}, "'ground'"),
+        ({"ground": 10 ** 30, "blocks": [[1]]}, "'ground' must be an integer in 1..1"),
+        ({"ground": 3, "blocks": [[1], [3, 4]]}, "index 4 outside 1..3"),
+    ])
+    def test_partition_rejects_malformed_fields_by_name(self, obj, field):
+        with pytest.raises(ValueError, match=field):
+            jsonio.partition_from_json(obj)
+
+    @pytest.mark.parametrize("obj, field", [
+        ("basis", "basis must be a JSON object"),
+        ({"labels": ["a"]}, "missing field 'vectors'"),
+        ({"vectors": []}, "missing field 'labels'"),
+        ({"vectors": {}, "labels": []}, "'vectors' must be a list"),
+        ({"vectors": [], "labels": "ab"}, "'labels' must be a list"),
+        ({"vectors": [], "labels": []}, "'vectors' must hold one or more vectors"),
+        ({"vectors": [{"rows": 1}], "labels": ["a"]}, "'vectors' entry 1: matrix is missing"),
+        ({"vectors": [E1, {"rows": 1, "cols": 1, "data": [[1, 0]]}], "labels": ["a", "b"]},
+         "'vectors' must hold one or more vectors of one length"),
+        ({"vectors": [E1, E1], "labels": ["a"]}, "'labels' must hold 2 strings"),
+        ({"vectors": [E1, E1], "labels": ["a", 2]}, "'labels' must hold 2 strings"),
+    ])
+    def test_basis_rejects_malformed_fields_by_name(self, obj, field):
+        with pytest.raises(ValueError, match=field):
+            jsonio.basis_from_json(obj)
 
     def test_basis_round_trip(self):
         basis, _ = ghz_basis()

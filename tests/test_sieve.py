@@ -192,6 +192,19 @@ class TestNaiveSearch:
         with pytest.raises(ValueError, match="permutation"):
             naive_search(2, 1, [1, 1, 2, 3])
 
+    def test_order_length_is_checked_before_anything_of_size_2_to_the_n(self):
+        with pytest.raises(ValueError, match="permutation of 1..2\\^n"):
+            naive_search(62, 1, [1])
+        with pytest.raises(ValueError, match="target_index must be in 1..4611686018427387904"):
+            naive_search(62, 2 ** 62 + 1, [1])
+
+    @pytest.mark.parametrize("n, message", [(0, "n must be positive, got 0"),
+                                            (-1, "n must be positive, got -1"),
+                                            (63, "n = 63 is too large")])
+    def test_n_must_be_in_1_to_62(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            naive_search(n, 1, [1])
+
 
 class TestQuestionCountStats:
     def test_sieve_is_always_n(self):

@@ -226,6 +226,19 @@ class TestCountSystems:
         assert type(counter.value) is type(generator.value)
         assert str(counter.value) == str(generator.value)
 
+    @pytest.mark.parametrize("limit", [-1, -10 ** 30, True, False, 2.5, "3"])
+    def test_refuses_a_limit_that_is_not_a_count(self, limit):
+        with pytest.raises(ValueError, match="limit must be None or an integer >= 0") as generator:
+            next(enumerate_systems(3, limit))
+        with pytest.raises(ValueError) as counter:
+            count_systems(3, limit)
+        assert str(counter.value) == str(generator.value)
+
+    @pytest.mark.parametrize("limit", [0, 5, np.int64(5), np.uint8(200), 10 ** 30])
+    def test_counts_are_python_ints(self, limit):
+        count = count_systems(3, limit)
+        assert type(count) is int and count == min(int(limit), math.factorial(8))
+
     def test_builds_no_system(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a system was built")
