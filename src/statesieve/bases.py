@@ -11,7 +11,6 @@ certified unitary at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -119,13 +118,23 @@ class Basis:
         return max_abs(g - np.eye(self.size))
 
 
-@dataclass(frozen=True, eq=False)
 class NamedUnitary:
-    name: str
-    matrix: np.ndarray = field(repr=False)
+    __slots__ = ("name", "matrix")
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix))
+    def __init__(self, name: str, matrix):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "matrix", as_matrix(matrix))
+
+    def __setattr__(self, attr, *_):
+        raise AttributeError(f"NamedUnitary field {attr!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
+        return type(self), (self.name, self.matrix)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(name={self.name!r})"
 
 
 def ket_label(index: int, n: int) -> str:

@@ -7,7 +7,6 @@ vectors are the same with cols = 1.  Values round-trip bit-identically
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -142,16 +141,11 @@ def basis_from_json(obj: Any) -> Basis:
 
 
 def requirement_report_to_json(r: RequirementReport) -> dict[str, Any]:
-    d = asdict(r)
-    d["ok"] = r.ok
-    d["failures"] = list(r.failures)
-    return d
+    return {**r._asdict(), "failures": list(r.failures), "ok": r.ok}
 
 
 def minimality_report_to_json(r: MinimalityReport) -> dict[str, Any]:
-    d = asdict(r)
-    d["ok"] = r.ok
-    return d
+    return {**r._asdict(), "ok": r.ok}
 
 
 def outcome_to_json(o: DetectorOutcome) -> dict[str, Any]:
@@ -163,4 +157,4 @@ def distribution_to_json(d: MeasurementDistribution) -> dict[str, Any]:
 
 
 def stats_to_json(s: StrategyStats) -> dict[str, Any]:
-    return asdict(s)
+    return s._asdict()

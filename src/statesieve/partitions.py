@@ -11,6 +11,7 @@ owns the index -> vector correspondence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, filterfalse, islice
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -47,9 +48,11 @@ class Partition:
                 if i in seen:
                     raise ValueError(f"index {i} appears in more than one block")
                 seen.add(i)
-        if len(seen) != self.ground_size:
-            missing = sorted(set(range(1, self.ground_size + 1)) - seen)
-            raise ValueError(f"blocks do not cover the ground set, missing {missing}")
+        gaps = self.ground_size - len(seen)
+        if gaps:  # the first ten, walking up from 1: never a set of the whole ground
+            missing = list(islice(filterfalse(seen.__contains__, count(1)), min(gaps, 10)))
+            shown = missing if gaps <= 10 else f"{gaps} indices, first {missing}"
+            raise ValueError(f"blocks do not cover the ground set, missing {shown}")
 
     def __len__(self) -> int:
         return len(self.blocks)

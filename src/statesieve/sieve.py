@@ -8,8 +8,7 @@ so with the standard system basis state k always fires detector k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,16 +19,14 @@ if TYPE_CHECKING:
     from .bases import Basis
 
 
-@dataclass(frozen=True)
-class DetectorOutcome:
+class DetectorOutcome(NamedTuple):
     """Answer bits of the n propositions and the detector they select."""
 
     answer_bits: tuple[int, ...]
     detector_index: int
 
 
-@dataclass(frozen=True)
-class MeasurementDistribution:
+class MeasurementDistribution(NamedTuple):
     """Probabilities over detectors 1..N (sum to 1 for a certified system)."""
 
     probabilities: tuple[float, ...]
@@ -41,15 +38,13 @@ class MeasurementDistribution:
         return k + 1 if gaps[k] <= tol else None
 
 
-@dataclass(frozen=True)
-class QuestionCountRecord:
+class QuestionCountRecord(NamedTuple):
     state_index: int
     questions_asked: int
     strategy: str
 
 
-@dataclass(frozen=True)
-class StrategyStats:
+class StrategyStats(NamedTuple):
     strategy: str
     n: int
     trials: int
@@ -58,8 +53,7 @@ class StrategyStats:
     max: int
 
 
-@dataclass(frozen=True)
-class StatsSummary:
+class StatsSummary(NamedTuple):
     naive: StrategyStats
     sieve: StrategyStats
 

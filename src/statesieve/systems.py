@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,8 +79,7 @@ class PropositionSystem:
         return p * v if p.ndim == 1 else p @ v
 
 
-@dataclass(frozen=True)
-class ColumnCode:
+class ColumnCode(NamedTuple):
     """Bit column read down the stacked diagonals at one basis position."""
 
     position: int                # 1-based basis position
@@ -96,8 +94,7 @@ class ColumnCode:
         return v
 
 
-@dataclass(frozen=True)
-class RequirementReport:
+class RequirementReport(NamedTuple):
     """Outcome of the three structural requirements on a proposition system.
 
     co_measurable:     all pairs of projectors commute,
@@ -116,8 +113,7 @@ class RequirementReport:
         return self.co_measurable and self.balanced_halves and self.pairwise_quarters
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     """Why n-1 binary propositions cannot separate 2^n basis states.
 
     The counting bound always applies: k propositions induce at most 2^k

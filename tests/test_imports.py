@@ -52,11 +52,20 @@ def imported(*args: str) -> set[str]:
      ["bases", "partitions", "paulis"]),
     (["-m", "statesieve", "simulate", "--n", "3", "--index", "3"],
      ["partitions", "paulis", "_trials"]),
-], ids=["import", "help", "verify", "stats", "simulate"])
+    (["-m", "statesieve", "build", "--n", "3"], ["partitions", "paulis", "sieve", "_trials"]),
+    (["-m", "statesieve", "pauli", "--cereceda"], ["bases", "partitions", "sieve", "_trials"]),
+    (["-m", "statesieve", "minimality", "--n", "2"],
+     ["bases", "partitions", "paulis", "sieve", "_trials"]),
+    (["-m", "statesieve", "enumerate", "--n", "2", "--count-only"],
+     ["bases", "partitions", "paulis", "sieve", "jsonio", "_trials"]),
+], ids=["import", "help", "verify", "stats", "simulate", "build", "pauli", "minimality",
+        "enumerate"])
 def test_a_command_loads_only_the_modules_it_calls(args, absent):
     modules = imported(*args)
     assert "statesieve" in modules
     assert modules.isdisjoint(f"statesieve.{name}" for name in absent)
+    # the records are NamedTuples: only Partition (transform, partition) is a dataclass
+    assert "dataclasses" not in modules
 
 
 def test_importing_the_cli_loads_numpy():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,26 @@ class TestPartitionType:
     def test_rejects_gap(self):
         with pytest.raises(ValueError, match="missing"):
             Partition(4, ((1, 2), (4,)))
+
+    @pytest.mark.parametrize("ground, blocks, missing", [
+        (4, ((1, 2), (4,)), "[3]"),
+        (12, ((1,), (12,)), "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"),
+        (20, ((3, 5),), "18 indices, first [1, 2, 4, 6, 7, 8, 9, 10, 11, 12]"),
+    ])
+    def test_gap_message_lists_ten_gaps_and_counts_the_rest(self, ground, blocks, missing):
+        with pytest.raises(ValueError) as info:
+            Partition(ground, blocks)
+        assert str(info.value) == f"blocks do not cover the ground set, missing {missing}"
+
+    def test_a_huge_ground_is_refused_without_listing_it(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="missing"):
+                Partition(10 ** 30, ((1,),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
