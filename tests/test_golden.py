@@ -38,6 +38,14 @@ LARGER_COMMANDS = {
     "partition_ghz_text": "partition --n 3 --basis ghz --format text",
 }
 
+# --format text prints each {"rows", "cols", "data"} payload as an aligned grid:
+# real and imaginary entries, and every matrix-valued --emit item
+TEXT_COMMANDS = {
+    "build_n2_text": "build --n 2 --format text",
+    "pauli_xyz_text": "pauli --axes xyz --format text",
+    "transform_w_text": "transform --n 3 --basis w --emit projectors,unitary,basis --format text",
+}
+
 # Tolerances just above the catalog unitaries' defects (2.2e-16, 1.1e-16):
 # the bases pass their own certification, the projector checks do not.
 FAILING_COMMANDS = {
@@ -49,7 +57,7 @@ FAILING_COMMANDS = {
     "verify_parity_n3": f"verify --file {GOLDEN / 'parity_n3.json'}",
 }
 
-COMMANDS = {**README_COMMANDS, **LARGER_COMMANDS}
+COMMANDS = {**README_COMMANDS, **LARGER_COMMANDS, **TEXT_COMMANDS}
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
