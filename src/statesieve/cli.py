@@ -109,23 +109,21 @@ def _check_dense_limit(what: str, n: int) -> None:
         raise ValueError(f"{what} is limited to n <= {MAX_N}, even with --force; got n = {n}")
 
 
-def _fmt_complex(z: complex) -> str:
-    if z.imag == 0:
-        return f"{z.real:.6g}"
-    return f"{z.real:.6g}{z.imag:+.6g}i"
+def _fmt_complex(re: float, im: float) -> str:
+    if im == 0:
+        return f"{re:.6g}"
+    return f"{re:.6g}{im:+.6g}i"
 
 
 def _render_text(obj: Any, indent: str = "") -> str:
     """Aligned-text rendering of the JSON structures this tool emits."""
     if isinstance(obj, dict):
-        if set(obj) == {"rows", "cols", "data"}:
-            from . import jsonio
-            m = jsonio.matrix_from_json(obj)
-            cells = [[_fmt_complex(m[r, c]) for c in range(m.shape[1])]
-                     for r in range(m.shape[0])]
-            width = max((len(s) for row in cells for s in row), default=1)
-            return "\n".join(
-                indent + "  ".join(s.rjust(width) for s in row) for row in cells)
+        if set(obj) == {"rows", "cols", "data"}:  # row-major [re, im] pairs
+            cells = [_fmt_complex(re, im) for re, im in obj["data"]]
+            width = max(map(len, cells))
+            cols = obj["cols"]
+            return "\n".join(indent + "  ".join(s.rjust(width) for s in cells[r:r + cols])
+                             for r in range(0, len(cells), cols))
         if set(obj) == {"ground", "blocks"}:
             return indent + " ".join(
                 "{" + ",".join(str(i) for i in b) + "}" for b in obj["blocks"])

@@ -2,7 +2,9 @@
 
 Matrices: {"rows": R, "cols": C, "data": [[re, im], ...]} row-major;
 vectors are the same with cols = 1.  Values round-trip bit-identically
-(floats are emitted with Python's shortest exact repr).
+(floats are emitted with Python's shortest exact repr).  Every value a
+command prints has an encoder; only the two inputs a command reads have a
+decoder: a system (`verify --file`) and a vector (`simulate --state`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .linalg import as_vector
 
-if TYPE_CHECKING:  # the decoders import what they build, so no command loads them all
+if TYPE_CHECKING:  # annotations only, so importing jsonio loads none of these
     from .bases import Basis
     from .partitions import Partition
     from .sieve import DetectorOutcome, MeasurementDistribution, StrategyStats
@@ -107,37 +109,9 @@ def partition_to_json(p: Partition) -> dict[str, Any]:
     return {"ground": p.ground_size, "blocks": [list(b) for b in p.blocks]}
 
 
-def partition_from_json(obj: Any) -> Partition:
-    """Decode a partition, raising ValueError that names a missing or malformed field."""
-    from .partitions import Partition
-    blocks = _list_field(obj, "blocks", "partition")
-    if not all(isinstance(b, list) and all(type(i) is int for i in b) for b in blocks):
-        raise ValueError("partition field 'blocks' must hold lists of integers")
-    # a partition of 1..ground holds ground indices, so no larger ground is read
-    ground = _int_field(obj, "ground", "partition", high=sum(map(len, blocks)))
-    return Partition(ground, tuple(map(tuple, blocks)))
-
-
 def basis_to_json(b: Basis) -> dict[str, Any]:
     return {"labels": list(b.labels),
             "vectors": [vector_to_json(b.vector(k)) for k in range(1, b.size + 1)]}
-
-
-def basis_from_json(obj: Any) -> Basis:
-    """Decode a basis, raising ValueError that names a missing or malformed field."""
-    from .bases import Basis
-    raw, labels = _list_field(obj, "vectors", "basis"), _list_field(obj, "labels", "basis")
-    vectors = []
-    for k, v in enumerate(raw, start=1):
-        try:
-            vectors.append(vector_from_json(v))
-        except ValueError as e:
-            raise ValueError(f"basis field 'vectors' entry {k}: {e}") from None
-    if not vectors or any(len(v) != len(vectors[0]) for v in vectors):
-        raise ValueError("basis field 'vectors' must hold one or more vectors of one length")
-    if len(labels) != len(vectors) or not all(isinstance(s, str) for s in labels):
-        raise ValueError(f"basis field 'labels' must hold {len(vectors)} strings")
-    return Basis(np.array(vectors), tuple(labels))
 
 
 def requirement_report_to_json(r: RequirementReport) -> dict[str, Any]:

@@ -56,8 +56,7 @@ json_values = valid_documents | st.recursive(scalars | valid_documents, containe
 @settings(max_examples=200, deadline=None)
 @given(json_values)
 def test_decoders_raise_only_value_error(value):
-    for decode in (jsonio.matrix_from_json, jsonio.vector_from_json, jsonio.system_from_json,
-                   jsonio.partition_from_json, jsonio.basis_from_json):
+    for decode in (jsonio.matrix_from_json, jsonio.vector_from_json, jsonio.system_from_json):
         try:
             decode(value)
         except ValueError:

@@ -73,8 +73,6 @@ class TestVectorFormat:
             jsonio.vector_from_json(jsonio.matrix_to_json(np.eye(2)))
 
 
-E1 = {"rows": 2, "cols": 1, "data": [[1, 0], [0, 0]]}
-
 
 class TestStructures:
     def test_system_round_trip(self):
@@ -101,48 +99,15 @@ class TestStructures:
 
     def test_partition_round_trip(self):
         p = Partition(8, ((1, 4, 6, 7), (2, 3, 5, 8)))
-        obj = jsonio.partition_to_json(p)
+        obj = json.loads(json.dumps(jsonio.partition_to_json(p)))
         assert obj == {"ground": 8, "blocks": [[1, 4, 6, 7], [2, 3, 5, 8]]}
-        assert jsonio.partition_from_json(obj) == p
-
-    @pytest.mark.parametrize("obj, field", [
-        ([], "partition must be a JSON object"),
-        ({"ground": 2}, "missing field 'blocks'"),
-        ({"blocks": [[1], [2]]}, "missing field 'ground'"),
-        ({"ground": 2, "blocks": {}}, "'blocks' must be a list"),
-        ({"ground": 2, "blocks": [1, 2]}, "'blocks' must hold lists of integers"),
-        ({"ground": 2, "blocks": [[1], [2.0]]}, "'blocks' must hold lists of integers"),
-        ({"ground": 2, "blocks": [[True], [2]]}, "'blocks' must hold lists of integers"),
-        ({"ground": 2.7, "blocks": [[1], [2]]}, "'ground' must be an integer in 1..2, got 2.7"),
-        ({"ground": True, "blocks": [[1], [2]]}, "'ground' must be an integer in 1..2, got True"),
-        ({"ground": "2", "blocks": [[1], [2]]}, "'ground'"),
-        ({"ground": 10 ** 30, "blocks": [[1]]}, "'ground' must be an integer in 1..1"),
-        ({"ground": 3, "blocks": [[1], [3, 4]]}, "index 4 outside 1..3"),
-    ])
-    def test_partition_rejects_malformed_fields_by_name(self, obj, field):
-        with pytest.raises(ValueError, match=field):
-            jsonio.partition_from_json(obj)
-
-    @pytest.mark.parametrize("obj, field", [
-        ("basis", "basis must be a JSON object"),
-        ({"labels": ["a"]}, "missing field 'vectors'"),
-        ({"vectors": []}, "missing field 'labels'"),
-        ({"vectors": {}, "labels": []}, "'vectors' must be a list"),
-        ({"vectors": [], "labels": "ab"}, "'labels' must be a list"),
-        ({"vectors": [], "labels": []}, "'vectors' must hold one or more vectors"),
-        ({"vectors": [{"rows": 1}], "labels": ["a"]}, "'vectors' entry 1: matrix is missing"),
-        ({"vectors": [E1, {"rows": 1, "cols": 1, "data": [[1, 0]]}], "labels": ["a", "b"]},
-         "'vectors' must hold one or more vectors of one length"),
-        ({"vectors": [E1, E1], "labels": ["a"]}, "'labels' must hold 2 strings"),
-        ({"vectors": [E1, E1], "labels": ["a", 2]}, "'labels' must hold 2 strings"),
-    ])
-    def test_basis_rejects_malformed_fields_by_name(self, obj, field):
-        with pytest.raises(ValueError, match=field):
-            jsonio.basis_from_json(obj)
+        assert Partition(obj["ground"], tuple(map(tuple, obj["blocks"]))) == p
 
     def test_basis_round_trip(self):
+        # no command reads a basis: each encoded vector decodes as a state would
         basis, _ = ghz_basis()
-        back = jsonio.basis_from_json(
-            json.loads(json.dumps(jsonio.basis_to_json(basis))))
-        assert back.labels == basis.labels
-        assert back.vectors.tobytes() == basis.vectors.tobytes()
+        obj = json.loads(json.dumps(jsonio.basis_to_json(basis)))
+        assert obj["labels"] == list(basis.labels)
+        assert len(obj["vectors"]) == basis.size
+        for v, encoded in zip(basis.vectors, obj["vectors"]):
+            assert jsonio.vector_from_json(encoded).tobytes() == v.tobytes()
