@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import DEFAULT_TOL, as_vector
-from .systems import PropositionSystem, _check_n, answer_codes
+from .systems import PropositionSystem, _check_n, _check_structured_n, answer_codes
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -204,9 +204,10 @@ def question_count_stats(n: int, trials: int, seed: int,
     execution order across threads.  The questions asked are the target's
     1-based position in the order (naive_search's count, without its
     checks).  The sieve side is exact: every search takes n questions.
-    Past the dense-size guard it needs force, as standard_system does.
+    Past the dense-size guard it needs force, as standard_system does, and
+    no force lifts n past STRUCTURED_MAX_N.
     """
-    _check_n(n, force)
+    _check_structured_n(n, force)
     _check_trials(trials)
     from . import _trials
     total, worst = _trials.question_counts(n, trials, seed, infer_last)

@@ -25,10 +25,12 @@ if TYPE_CHECKING:
 MAX_N = 10          # dense 2^n x 2^n matrices stay cheap up to here
 INDEX_MAX_N = 62    # 2^n positions fit a 64-bit numpy index up to here, force or not
 FULL_ENUM_MAX_N = 3  # 8! = 40320 streams fine; 16! does not
+STRUCTURED_MAX_N = 20  # (n, 2^n) arrays, force or not: verify --n 20 peaks near 480 MB
 
 
 class ResourceLimitError(ValueError):
-    """A size guard tripped; pass force=True (CLI: --force) to override."""
+    """A size guard tripped; where a call takes force, force=True (CLI: --force)
+    overrides it."""
 
 
 class PropositionSystem:
@@ -135,17 +137,28 @@ class MinimalityReport(NamedTuple):
         return self.exhaustive_separating_found is not True
 
 
-def _check_n(n: int, force: bool = False) -> int:
+def _check_n(n: int, force: bool | None = False) -> int:
     """N = 2^n after the one size guard: n > MAX_N needs force, and no
-    force lifts n past INDEX_MAX_N."""
+    force lifts n past INDEX_MAX_N.  A caller that takes no force passes
+    force=None, and its refusal gives no override hint."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > INDEX_MAX_N:
         raise ValueError(f"n = {n} is too large: 2^n positions do not fit a 64-bit index")
     if n > MAX_N and not force:
-        raise ResourceLimitError(
-            f"n = {n} exceeds the guard {MAX_N}; override with force")
+        hint = "" if force is None else "; override with force"
+        raise ResourceLimitError(f"n = {n} exceeds the guard {MAX_N}{hint}")
     return 2 ** n
+
+
+def _check_structured_n(n: int, force: bool = False) -> int:
+    """_check_n for a call that builds (n, 2^n) arrays: no force lifts n
+    past STRUCTURED_MAX_N."""
+    dim = _check_n(n, force)
+    if n > STRUCTURED_MAX_N:
+        raise ValueError(f"n = {n} exceeds STRUCTURED_MAX_N = {STRUCTURED_MAX_N}, "
+                         "the largest n whose (n, 2^n) arrays are built, even with force")
+    return dim
 
 
 def standard_diagonals(n: int, force: bool = False) -> np.ndarray:
@@ -155,7 +168,7 @@ def standard_diagonals(n: int, force: bool = False) -> np.ndarray:
     2^(n-1-i), so column k reads the binary digits of N-1-k: the codes
     run from N-1 down to 0 across positions.
     """
-    dim = _check_n(n, force)
+    dim = _check_structured_n(n, force)
     codes = dim - 1 - np.arange(dim)
     shifts = np.arange(n - 1, -1, -1)
     return (codes[np.newaxis, :] >> shifts[:, np.newaxis]) & 1
@@ -432,7 +445,7 @@ def separates(system: PropositionSystem, basis: "Basis",
 
 def minimality_certificate(n: int) -> MinimalityReport:
     """Certify that fewer than n binary propositions cannot separate 2^n states."""
-    dim = _check_n(n)
+    dim = _check_n(n, force=None)
     max_classes = 2 ** (n - 1)
     scanned = found = None
     if n <= 2:

@@ -278,6 +278,35 @@ class TestDenseOutputsKeepTheirLimit:
         assert main(argv.split()) == 0, capsys.readouterr().err
 
 
+class TestStructuredCeiling:
+    """verify, simulate, transform, partition and stats build (n, 2^n) arrays, so
+    --force lifts n no higher than STRUCTURED_MAX_N.  Both limits are lowered here,
+    so that nothing near the real ceiling is built."""
+
+    @pytest.fixture(autouse=True)
+    def low_limits(self, monkeypatch):
+        monkeypatch.setattr(systems, "MAX_N", 2)
+        monkeypatch.setattr(systems, "STRUCTURED_MAX_N", 3)
+
+    @pytest.mark.parametrize("argv", [
+        "verify", "simulate --index 1", "transform --emit codes", "partition",
+        "stats --trials 1"])
+    def test_force_stops_at_the_ceiling(self, capsys, argv):
+        assert main([*argv.split(), "--n", "3", "--force"]) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, *argv.split(), "--n", "4", "--force")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": "n = 4 exceeds STRUCTURED_MAX_N = 3, the largest n whose (n, 2^n) "
+                       "arrays are built, even with force"}
+
+    def test_counting_builds_no_array(self, capsys):
+        payload = run_json(capsys, "enumerate", "--n", "62", "--force", "--limit", "1",
+                           "--count-only")
+        assert payload == {"n": 62, "count": 1}
+
+
 class TestPartitionCommand:
     def test_standard_meet_is_atomic(self, capsys):
         payload = run_json(capsys, "partition", "--n", "2")

@@ -89,6 +89,15 @@ class TestSigmaProduct:
         with pytest.raises(ResourceLimitError):
             sigma_product_proposition("x" * 11)
 
+    @pytest.mark.parametrize("build", [lambda: embed("x", 1, 11),
+                                       lambda: sigma_product_proposition("x" * 11)],
+                             ids=["embed", "sigma_product_proposition"])
+    def test_size_guard_offers_no_override(self, build):
+        # neither takes force
+        with pytest.raises(ResourceLimitError) as err:
+            build()
+        assert str(err.value) == "n = 11 exceeds the guard 10"
+
     def test_rejects_bad_assignments(self):
         with pytest.raises(ValueError):
             sigma_product_proposition("")

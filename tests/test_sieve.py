@@ -8,6 +8,7 @@ from statesieve import (EigenbasisError, PropositionSystem, ResourceLimitError,
                         naive_search, question_count_stats, route_basis_state,
                         sample_detections, standard_basis, standard_system,
                         transformed_system)
+from statesieve import _trials, systems
 
 
 class TestDetectorIndexing:
@@ -234,6 +235,16 @@ class TestQuestionCountStats:
         with pytest.raises(ResourceLimitError):
             question_count_stats(11, trials=1, seed=0)
         assert question_count_stats(11, trials=1, seed=0, force=True).sieve.mean == 11.0
+
+    def test_force_stops_at_the_structured_ceiling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("trials drawn")
+
+        monkeypatch.setattr(systems, "STRUCTURED_MAX_N", 10)
+        monkeypatch.setattr(_trials, "question_counts", refuse)
+        with pytest.raises(ValueError, match="n = 11 exceeds STRUCTURED_MAX_N = 10") as err:
+            question_count_stats(11, trials=1, seed=0, force=True)
+        assert not isinstance(err.value, ResourceLimitError)
 
     def test_trials_guard(self):
         with pytest.raises(ValueError, match="trials"):

@@ -73,6 +73,20 @@ class TestStandardSystem:
     def test_certifies(self, n):
         assert certify_system(standard_system(n)) == []
 
+    def test_force_stops_at_the_structured_ceiling(self, monkeypatch):
+        # both limits lowered, so that nothing near the real ceiling is built
+        monkeypatch.setattr(systems, "MAX_N", 2)
+        monkeypatch.setattr(systems, "STRUCTURED_MAX_N", 3)
+        assert standard_system(3, force=True).n == 3
+        for build in (lambda: standard_system(4, force=True),
+                      lambda: next(enumerate_systems(4, limit=1, force=True))):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == ("n = 4 exceeds STRUCTURED_MAX_N = 3, the largest n "
+                                      "whose (n, 2^n) arrays are built, even with force")
+            assert not isinstance(err.value, ResourceLimitError)
+        assert systems.count_systems(62, limit=1, force=True) == 1
+
 
 class TestRequirements:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -322,6 +336,12 @@ class TestMinimality:
         for mask in range(16):
             codes = {(mask >> k) & 1 for k in range(4)}
             assert len(codes) < 4
+
+    def test_size_guard_offers_no_override(self):
+        # minimality_certificate takes no force
+        with pytest.raises(ResourceLimitError) as err:
+            minimality_certificate(11)
+        assert str(err.value) == "n = 11 exceeds the guard 10"
 
     def test_n3_analytic_only(self):
         report = minimality_certificate(3)
