@@ -301,11 +301,6 @@ class TestStructuredCeiling:
             "message": "n = 4 exceeds STRUCTURED_MAX_N = 3, the largest n whose (n, 2^n) "
                        "arrays are built, even with force"}
 
-    def test_counting_builds_no_array(self, capsys):
-        payload = run_json(capsys, "enumerate", "--n", "62", "--force", "--limit", "1",
-                           "--count-only")
-        assert payload == {"n": 62, "count": 1}
-
 
 class TestPartitionCommand:
     def test_standard_meet_is_atomic(self, capsys):
