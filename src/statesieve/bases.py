@@ -195,8 +195,9 @@ def combo_label(vec: np.ndarray, n: int, tol: float = 1e-9) -> str:
 def standard_basis(n: int, force: bool = False) -> Basis:
     """The N = 2^n canonical unit vectors labeled |+..+> down to |-..->,
     in identity form: neither the N x N array nor the labels are built
-    until they are read."""
-    dim = _check_n(n, force)
+    until they are read.  Every command that uses it also builds (n, 2^n)
+    arrays, so no force lifts n past STRUCTURED_MAX_N."""
+    dim = _check_n(n, force, "STRUCTURED_MAX_N")
     basis = Basis.__new__(Basis)
     basis.identity, basis._shape, basis._vectors, basis._labels = True, (dim, dim), None, None
     return basis

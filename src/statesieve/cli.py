@@ -80,11 +80,14 @@ def _read_json(path: str, decode):
         raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
 
-def _parse_perm(text: str) -> list[int]:
+def _parse_perm(text: str, dim: int) -> list[int]:
     try:
         targets = [int(x) for x in text.split(",")]
     except ValueError as e:
         raise ValueError(f"--perm must be a comma list of integers: {text!r}") from e
+    for t in targets:
+        if not 1 <= t <= dim:
+            raise ValueError(f"--perm targets must be in 1..{dim}, got {t}")
     return [t - 1 for t in targets]  # CLI positions are 1-based
 
 
@@ -94,19 +97,17 @@ def _build_system(args, tol: float) -> tuple[PropositionSystem, Basis, NamedUnit
     from .systems import permute_system, standard_system
     basis, unitary = named_basis(args.basis, args.n, tol, force=args.force)
     system = standard_system(args.n, force=args.force)
-    if getattr(args, "perm", None):
-        system = permute_system(system, _parse_perm(args.perm), tol)
+    if getattr(args, "perm", None) is not None:
+        system = permute_system(system, _parse_perm(args.perm, system.dim), tol)
     if unitary is not None:
         system = transformed_system(unitary, system, tol)
     return system, basis, unitary
 
 
-def _check_dense_limit(what: str, n: int) -> None:
-    """Outputs that build or print N x N numbers keep the n <= MAX_N guard under
-    --force: name that limit rather than advise --force."""
-    from .systems import MAX_N
-    if n > MAX_N:
-        raise ValueError(f"{what} is limited to n <= {MAX_N}, even with --force; got n = {n}")
+def _check_dense(n: int) -> None:
+    """Refuse an output of N x N numbers past MAX_N, --force or not, with no override hint."""
+    from .systems import _check_n
+    _check_n(n, force=True, ceiling="MAX_N")
 
 
 def _fmt_complex(re: float, im: float) -> str:
@@ -158,7 +159,7 @@ def _report(e: Exception) -> int:
 
 def _cmd_build(args) -> tuple[Any, int]:
     from . import jsonio
-    _check_dense_limit(args.command, args.n)
+    _check_dense(args.n)
     system, _, _ = _build_system(args, _resolve_tol(args))
     return {**jsonio.system_to_json(system), "basis": args.basis}, EXIT_OK
 
@@ -193,8 +194,8 @@ def _cmd_transform(args) -> tuple[Any, int]:
         raise ValueError(f"unknown --emit items {sorted(unknown)}; choose from {sorted(known)}")
     if not wanted:
         raise ValueError(f"--emit needs at least one of {sorted(known)}")
-    for item in sorted({"projectors", "basis"} & set(wanted)):  # N x N amplitudes each
-        _check_dense_limit(f"{args.command} --emit {item}", args.n)
+    if {"projectors", "basis"} & set(wanted):  # N x N amplitudes each
+        _check_dense(args.n)
     system, basis, unitary = _build_system(args, tol)
     payload: dict[str, Any] = {"n": args.n, "basis": args.basis}
     if "projectors" in wanted:
@@ -226,7 +227,7 @@ def _cmd_enumerate(args) -> tuple[Any, int]:
             "n": args.n, "count": count_systems(args.n, limit=args.limit, force=args.force)}
     else:
         from . import jsonio
-        _check_dense_limit(args.command, args.n)
+        _check_dense(args.n)
         systems_json = [jsonio.system_to_json(system) for system in
                         enumerate_systems(args.n, limit=args.limit, force=args.force)]
         payload = {"n": args.n, "count": len(systems_json), "systems": systems_json}
@@ -284,7 +285,7 @@ def _cmd_pauli(args) -> tuple[Any, int]:
     if not args.axes:
         raise ValueError("pauli needs --axes or --cereceda")
     axes = normalize_axes(args.axes)
-    _check_dense_limit(args.command, len(axes))
+    _check_dense(len(axes))
     p = sigma_product_proposition(axes)
     return {"axes": args.axes, "proposition": jsonio.matrix_to_json(p)}, EXIT_OK
 
@@ -292,7 +293,7 @@ def _cmd_pauli(args) -> tuple[Any, int]:
 def _cmd_minimality(args) -> tuple[Any, int]:
     from . import jsonio
     from .systems import minimality_certificate
-    _check_dense_limit(args.command, args.n)
+    _check_dense(args.n)
     report = minimality_certificate(args.n)
     return (jsonio.minimality_report_to_json(report),
             EXIT_OK if report.ok else EXIT_PROPERTY_VIOLATION)

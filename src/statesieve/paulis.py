@@ -58,7 +58,7 @@ def embed(axis: str, site: int, n: int) -> np.ndarray:
 
     Returns I_{2^(site-1)} (x) sigma_axis (x) I_{2^(n-site)}, dimension 2^n.
     """
-    _check_n(n, force=None)
+    _check_n(n, ceiling="MAX_N")
     if not 1 <= site <= n:
         raise ValueError(f"site must be in 1..{n}, got {site}")
     m = pauli(axis)
@@ -88,7 +88,7 @@ def sigma_product_proposition(assignment: str | Sequence[str]) -> np.ndarray:
     Paulis, built with `tensor`; it equals the product of their `embed`s.
     """
     axes = normalize_axes(assignment)
-    dim = _check_n(len(axes), force=None)
+    dim = _check_n(len(axes), ceiling="MAX_N")
     product = functools.reduce(tensor, map(pauli, axes))
     return (np.eye(dim) + product) / 2.0
 

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import DEFAULT_TOL, as_vector
-from .systems import PropositionSystem, _check_n, _check_structured_n, answer_codes
+from .systems import PropositionSystem, _check_n, answer_codes
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -207,7 +207,7 @@ def question_count_stats(n: int, trials: int, seed: int,
     Past the dense-size guard it needs force, as standard_system does, and
     no force lifts n past STRUCTURED_MAX_N.
     """
-    _check_structured_n(n, force)
+    _check_n(n, force, "STRUCTURED_MAX_N")
     _check_trials(trials)
     from . import _trials
     total, worst = _trials.question_counts(n, trials, seed, infer_last)

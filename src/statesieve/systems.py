@@ -26,11 +26,13 @@ MAX_N = 10          # dense 2^n x 2^n matrices stay cheap up to here
 INDEX_MAX_N = 62    # 2^n positions fit a 64-bit numpy index up to here, force or not
 FULL_ENUM_MAX_N = 3  # 8! = 40320 streams fine; 16! does not
 STRUCTURED_MAX_N = 20  # (n, 2^n) arrays, force or not: verify --n 20 peaks near 480 MB
+_CEILINGS = {"MAX_N": "N x N arrays", "STRUCTURED_MAX_N": "(n, 2^n) arrays"}  # what each bounds
 
 
 class ResourceLimitError(ValueError):
-    """A size guard tripped; where a call takes force, force=True (CLI: --force)
-    overrides it."""
+    """A guard tripped without force: n past MAX_N, or a full enumeration past
+    FULL_ENUM_MAX_N.  Its message offers force only where force=True (CLI: --force)
+    lifts it; under force, a size no force lifts is refused as a plain ValueError."""
 
 
 class PropositionSystem:
@@ -137,28 +139,22 @@ class MinimalityReport(NamedTuple):
         return self.exhaustive_separating_found is not True
 
 
-def _check_n(n: int, force: bool | None = False) -> int:
-    """N = 2^n after the one size guard: n > MAX_N needs force, and no
-    force lifts n past INDEX_MAX_N.  A caller that takes no force passes
-    force=None, and its refusal gives no override hint."""
+def _check_n(n: int, force: bool = False, ceiling: str = "INDEX_MAX_N") -> int:
+    """N = 2^n after the one size guard: 1 <= n <= INDEX_MAX_N, n <= MAX_N unless
+    forced, and n <= the ceiling, the name of a constant read at call time, even if
+    forced.  The refusal without force offers force only where force lifts it."""
+    limit = globals()[ceiling]
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > INDEX_MAX_N:
         raise ValueError(f"n = {n} is too large: 2^n positions do not fit a 64-bit index")
     if n > MAX_N and not force:
-        hint = "" if force is None else "; override with force"
+        hint = "; override with force" if n <= limit else ""
         raise ResourceLimitError(f"n = {n} exceeds the guard {MAX_N}{hint}")
+    if n > limit:
+        raise ValueError(f"n = {n} exceeds {ceiling} = {limit}, the largest n whose "
+                         f"{_CEILINGS[ceiling]} are built, even with force")
     return 2 ** n
-
-
-def _check_structured_n(n: int, force: bool = False) -> int:
-    """_check_n for a call that builds (n, 2^n) arrays: no force lifts n
-    past STRUCTURED_MAX_N."""
-    dim = _check_n(n, force)
-    if n > STRUCTURED_MAX_N:
-        raise ValueError(f"n = {n} exceeds STRUCTURED_MAX_N = {STRUCTURED_MAX_N}, "
-                         "the largest n whose (n, 2^n) arrays are built, even with force")
-    return dim
 
 
 def standard_diagonals(n: int, force: bool = False) -> np.ndarray:
@@ -168,7 +164,7 @@ def standard_diagonals(n: int, force: bool = False) -> np.ndarray:
     2^(n-1-i), so column k reads the binary digits of N-1-k: the codes
     run from N-1 down to 0 across positions.
     """
-    dim = _check_structured_n(n, force)
+    dim = _check_n(n, force, "STRUCTURED_MAX_N")
     codes = dim - 1 - np.arange(dim)
     shifts = np.arange(n - 1, -1, -1)
     return (codes[np.newaxis, :] >> shifts[:, np.newaxis]) & 1
@@ -380,10 +376,11 @@ def permute_system(system: PropositionSystem,
     return _diagonal_system(out)
 
 
-def _check_enumeration(n: int, limit: int | None, force: bool) -> int:
+def _check_enumeration(n: int, limit: int | None, force: bool,
+                       ceiling: str = "INDEX_MAX_N") -> int:
     """N = 2^n after the size guard, the limit check and the full-enumeration
     guard: all N! systems are refused for n > 3 unless a limit or force is given."""
-    dim = _check_n(n, force)
+    dim = _check_n(n, force, ceiling)
     if limit is not None and (isinstance(limit, bool) or not isinstance(limit, (int, np.integer))
                               or limit < 0):
         raise ValueError(f"limit must be None or an integer >= 0, got {limit!r}")
@@ -399,13 +396,13 @@ def count_systems(n: int, limit: int | None = None, force: bool = False) -> int:
 
     Builds no system.  With a limit the product 1 * 2 * ... stops as soon as
     it reaches the limit, so any n the guards allow is counted at once.
-    Without one, n > MAX_N is refused even under force: 2048! alone has
-    more digits than Python converts to a string.
+    Without one, n > MAX_N is refused with or without force: 2048! alone
+    has more digits than Python converts to a string.
     """
+    if limit is None and MAX_N < n <= INDEX_MAX_N:
+        raise ValueError(f"n = {n}: counting all {2 ** n}! systems needs a limit")
     dim = _check_enumeration(n, limit, force)
     if limit is None:
-        if n > MAX_N:
-            raise ValueError(f"n = {n}: counting all {dim}! systems needs a limit")
         return math.factorial(dim)
     product = 1
     for k in range(2, dim + 1):
@@ -424,7 +421,7 @@ def enumerate_systems(n: int, limit: int | None = None,
     the dimension guard is allowed with an explicit limit.  count_systems
     gives the number of systems without building them.
     """
-    dim = _check_enumeration(n, limit, force)
+    dim = _check_enumeration(n, limit, force, "STRUCTURED_MAX_N")
     std = standard_diagonals(n, force)
     for perm in itertools.islice(itertools.permutations(range(dim)), limit):
         out = np.empty_like(std)
@@ -445,7 +442,7 @@ def separates(system: PropositionSystem, basis: "Basis",
 
 def minimality_certificate(n: int) -> MinimalityReport:
     """Certify that fewer than n binary propositions cannot separate 2^n states."""
-    dim = _check_n(n, force=None)
+    dim = _check_n(n, ceiling="MAX_N")
     max_classes = 2 ** (n - 1)
     scanned = found = None
     if n <= 2:

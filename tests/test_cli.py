@@ -13,6 +13,10 @@ from statesieve.cli import main
 from test_systems import UNEVEN_N2, UNEVEN_N2_FAILURES
 
 
+DENSE_REFUSAL = ("n = 11 exceeds MAX_N = 10, the largest n whose N x N arrays are built, "
+                 "even with force")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -49,6 +53,24 @@ class TestBuild:
         with pytest.raises(SystemExit) as exc:
             main(["build", "--basis", "nonsense"])
         assert exc.value.code == 2
+
+
+class TestPerm:
+    """--perm is read whenever it is given, and refused in the CLI's 1-based terms."""
+
+    @pytest.mark.parametrize("command", ["build", "verify", "transform", "partition"])
+    def test_an_empty_list_is_refused(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--n", "2", "--perm", "")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "--perm must be a comma list of integers: ''"}
+
+    @pytest.mark.parametrize("perm, target", [("0,1", 0), ("1,3", 3), ("2,-1", -1)])
+    def test_a_target_outside_1_to_N_is_refused(self, capsys, perm, target):
+        code, out, err = run_cli(capsys, "verify", "--n", "1", "--perm", perm)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": f"--perm targets must be in 1..2, got {target}"}
 
 
 class TestVerify:
@@ -239,7 +261,8 @@ class TestEnumerate:
         # the full output prints N x N projectors: --force does not lift that limit
         code, out, err = run_cli(capsys, "enumerate", "--n", "3", "--limit", "1", "--force")
         assert code == 3 and out == ""
-        assert "enumerate is limited to n <= 2, even with --force" in err
+        assert json.loads(err)["error"]["message"] == (
+            "n = 3 exceeds MAX_N = 2, the largest n whose N x N arrays are built, even with force")
 
 
 class TestDenseOutputsKeepTheirLimit:
@@ -256,7 +279,7 @@ class TestDenseOutputsKeepTheirLimit:
         monkeypatch.setattr(bases.Basis, "vector", refuse)
 
     @pytest.mark.parametrize("force", [[], ["--force"]])
-    @pytest.mark.parametrize("argv, what", [
+    @pytest.mark.parametrize("argv, what", [  # what: the N x N output refused
         (["build"], "build"),
         (["transform", "--emit", "projectors"], "transform --emit projectors"),
         (["transform", "--emit", "codes,basis"], "transform --emit basis"),
@@ -264,10 +287,8 @@ class TestDenseOutputsKeepTheirLimit:
     ])
     def test_past_n_10_is_refused(self, capsys, argv, what, force):
         code, out, err = run_cli(capsys, *argv, "--n", "11", *force)
-        assert code == 3 and out == ""
-        assert json.loads(err)["error"] == {
-            "type": "ValueError",
-            "message": f"{what} is limited to n <= 10, even with --force; got n = 11"}
+        assert code == 3 and out == "", what
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": DENSE_REFUSAL}
 
     @pytest.mark.parametrize("argv", [
         "transform --n 12 --force --emit codes",  # CI runs both at n = 16
@@ -300,6 +321,33 @@ class TestStructuredCeiling:
             "type": "ValueError",
             "message": "n = 4 exceeds STRUCTURED_MAX_N = 3, the largest n whose (n, 2^n) "
                        "arrays are built, even with force"}
+
+
+class TestForceHint:
+    """A size refusal offers "override with force" exactly where --force lifts it.
+    MAX_N and STRUCTURED_MAX_N are lowered to 2 and 3, so every command refuses
+    n = 3 and 4 without --force; each enumerate but the unlimited count takes
+    --limit 1, so no full enumeration runs."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("command", [
+        "build", "verify", "verify --file {file}", "simulate --index 1", "partition",
+        "transform --emit codes", "transform --emit projectors", "transform --emit basis",
+        "stats --trials 1", "enumerate --limit 1", "enumerate --limit 1 --count-only",
+        "enumerate --count-only", "pauli --axes {axes}", "minimality"])
+    def test_force_lifts_what_the_hint_offers(self, capsys, monkeypatch, tmp_path, command, n):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(jsonio.system_to_json(standard_system(n))))
+        monkeypatch.setattr(systems, "MAX_N", 2)
+        monkeypatch.setattr(systems, "STRUCTURED_MAX_N", 3)
+        argv = command.format(file=path, axes="x" * n).split()
+        if argv[0] != "pauli":
+            argv += ["--n", str(n)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        offered = "override with force" in json.loads(err)["error"]["message"]
+        code, _, err = run_cli(capsys, *argv, "--force")
+        assert code == (0 if offered else 3), err
 
 
 class TestPartitionCommand:
@@ -454,9 +502,7 @@ class TestPauli:
     def test_size_error_names_the_commands_limit(self, capsys, force):
         code, out, err = run_cli(capsys, "pauli", "--axes", "x" * 11, *force)
         assert code == 3 and out == ""
-        assert json.loads(err)["error"] == {
-            "type": "ValueError",
-            "message": "pauli is limited to n <= 10, even with --force; got n = 11"}
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": DENSE_REFUSAL}
 
 
 class TestMinimality:
@@ -468,9 +514,7 @@ class TestMinimality:
     def test_size_error_names_the_commands_limit(self, capsys, force):
         code, out, err = run_cli(capsys, "minimality", "--n", "11", *force)
         assert code == 3 and out == ""
-        assert json.loads(err)["error"] == {
-            "type": "ValueError",
-            "message": "minimality is limited to n <= 10, even with --force; got n = 11"}
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": DENSE_REFUSAL}
 
 
 class TestTextFormat:

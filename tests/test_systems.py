@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from statesieve import (EigenbasisError, PropositionSystem,
                         ResourceLimitError, answer_codes, certify_system,
-                        column_codes, eigenvalue_bit, enumerate_systems,
-                        ghz_basis, minimality_certificate, named_basis,
-                        permute_system, separates, standard_basis,
-                        standard_system, system_from_diagonals,
-                        transformed_system, verify_requirements, verify_system)
+                        column_codes, count_systems, eigenvalue_bit,
+                        enumerate_systems, ghz_basis, minimality_certificate,
+                        named_basis, permute_system, question_count_stats,
+                        separates, standard_basis, standard_system,
+                        system_from_diagonals, transformed_system,
+                        verify_requirements, verify_system)
 from statesieve import jsonio, systems
 from statesieve.bases import BASIS_KEYS
 from statesieve.systems import standard_subset_meets_nonatomic
@@ -85,6 +86,36 @@ class TestStandardSystem:
             assert str(err.value) == ("n = 4 exceeds STRUCTURED_MAX_N = 3, the largest n "
                                       "whose (n, 2^n) arrays are built, even with force")
             assert not isinstance(err.value, ResourceLimitError)
+
+
+class TestSizeGuard:
+    """A size refusal offers force exactly where force lifts it.  MAX_N and
+    STRUCTURED_MAX_N are lowered to 2 and 3, so n = 3 and 4 are refused
+    without force and nothing large is built."""
+
+    @pytest.fixture(autouse=True)
+    def low_limits(self, monkeypatch):
+        monkeypatch.setattr(systems, "MAX_N", 2)
+        monkeypatch.setattr(systems, "STRUCTURED_MAX_N", 3)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("call", [
+        standard_system, standard_basis,
+        lambda n, force=False: question_count_stats(n, 1, 0, force=force),
+        lambda n, force=False: next(enumerate_systems(n, 1, force)),
+        lambda n, force=False: count_systems(n, 1, force),
+        lambda n, force=False: count_systems(n, None, force),
+    ], ids=["standard_system", "standard_basis", "question_count_stats",
+            "enumerate_systems", "count_systems", "count_systems_unlimited"])
+    def test_force_lifts_what_the_hint_offers(self, call, n):
+        with pytest.raises(ValueError) as err:
+            call(n)
+        if "override with force" in str(err.value):
+            call(n, force=True)
+        else:
+            with pytest.raises(ValueError) as forced:
+                call(n, force=True)
+            assert not isinstance(forced.value, ResourceLimitError)
 
 
 class TestRequirements:
