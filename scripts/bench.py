@@ -19,8 +19,11 @@ cases: `--help`, the start-up alone that the benchmark's setup_s times, and
 matching commands as `python -m statesieve ...`, start-up included.  Each
 case runs once to warm up, then --repeat times; the best and the median wall
 time are recorded with the sha256 of the case's output, which must be the
-same on every run.  A layer case then runs once more under tracemalloc, which
-records its peak of traced memory in MB (2^20 bytes); that run is not timed.
+same on every run.  A CLI case also records the best and the median CPU time
+(user + sys) of its child process, from getrusage(RUSAGE_CHILDREN) before and
+after each run, which a busy host inflates less than wall time.  A layer case
+then runs once more under tracemalloc, which records its peak of traced
+memory in MB (2^20 bytes); that run is not timed.
 
 The result goes to BENCH_<label>.json in the repository root (or --out),
 with the machine and software records of benchmarks/run.py.  Two files
@@ -36,6 +39,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -136,19 +140,29 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+def child_cpu_ms() -> float:
+    """User + sys CPU time of this process's waited-for children so far, in ms."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return (usage.ru_utime + usage.ru_stime) * 1e3
+
+
 def measure(kind: str, fn, repeat: int) -> dict:
     digest = _sha(fn())  # warm-up run
-    times = []
+    times, cpu = [], []
     for _ in range(repeat):
-        start = time.perf_counter()
+        cpu_start, start = child_cpu_ms(), time.perf_counter()
         out = fn()
         times.append((time.perf_counter() - start) * 1e3)
+        cpu.append(child_cpu_ms() - cpu_start)
         if _sha(out) != digest:
             raise RuntimeError("output changed between runs")
     result = {"best_ms": round(min(times), 3), "median_ms": round(statistics.median(times), 3),
               "sha256": digest}
     if kind == "layer":
         result["peak_mb"] = peak_mb(fn)
+    else:
+        result.update(cpu_best_ms=round(min(cpu), 3),
+                      cpu_median_ms=round(statistics.median(cpu), 3))
     return result
 
 
@@ -167,7 +181,8 @@ def main(argv=None) -> int:
     def run_case(kind, name, n, fn):
         result = {"kind": kind, "name": name, "n": n, **measure(kind, fn, args.repeat)}
         results.append(result)
-        peak = f"peak {result['peak_mb']:8.3f} MB" if "peak_mb" in result else " " * 16
+        peak = (f"peak {result['peak_mb']:8.3f} MB" if "peak_mb" in result
+                else f"cpu {result['cpu_median_ms']:9.3f} ms")
         size = "-" if n is None else n
         print(f"{kind:5} n={size:<2} {name:30} best {result['best_ms']:10.3f} ms  "
               f"median {result['median_ms']:10.3f} ms  {peak}  {result['sha256'][:12]}")

@@ -3,8 +3,8 @@ simulate, stats, and pauli subcommands with JSON (default) or text output.
 
 Exit codes: 0 success, 1 a verified property failed, 2 usage errors,
 3 validation/resource errors, 141 stdout or stderr closed by its reader.
-SIEVE_TOL overrides the default tolerance; an explicit --tol wins over the
-environment.  `run` is the process entry point; `main(argv)` returns the code.
+`main` resolves the tolerance once for every command: --tol, else SIEVE_TOL,
+else DEFAULT_TOL.  `run` is the process entry point; `main(argv)` returns the code.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import sys
 from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 from ._catalog import BASIS_KEYS
+
+# OpenBLAS's idle workers spin 2^28 cycles before they sleep; 2^20 is enough. A set value wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 # linalg loads numpy, which benchmarks/run.py times inside `import statesieve.cli`
 from .linalg import DEFAULT_TOL
 
@@ -53,15 +56,6 @@ def _tol_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("SIEVE_TOL")
-    if env:
-        return _tolerance(env, "SIEVE_TOL")
-    return DEFAULT_TOL
-
-
 def _count_arg(flag: str):
     """An argparse type for `flag`: an integer >= 0, else a usage error naming the flag."""
     def parse(text: str) -> int:
@@ -81,26 +75,33 @@ def _read_json(path: str, decode):
 
 
 def _parse_perm(text: str, dim: int) -> list[int]:
+    """The 0-based targets of a --perm list, which must name each of 1..dim once."""
     try:
         targets = [int(x) for x in text.split(",")]
     except ValueError as e:
         raise ValueError(f"--perm must be a comma list of integers: {text!r}") from e
+    seen = set()
     for t in targets:
         if not 1 <= t <= dim:
             raise ValueError(f"--perm targets must be in 1..{dim}, got {t}")
+        if t in seen:
+            raise ValueError(f"--perm repeats target {t}; each of 1..{dim} must appear once")
+        seen.add(t)
+    if len(targets) != dim:
+        raise ValueError(f"--perm must list {dim} targets, got {len(targets)}")
     return [t - 1 for t in targets]  # CLI positions are 1-based
 
 
-def _build_system(args, tol: float) -> tuple[PropositionSystem, Basis, NamedUnitary | None]:
+def _build_system(args) -> tuple[PropositionSystem, Basis, NamedUnitary | None]:
     """Diagonal (optionally permuted) system in the chosen basis, the basis, its unitary."""
     from .bases import named_basis, transformed_system
     from .systems import permute_system, standard_system
-    basis, unitary = named_basis(args.basis, args.n, tol, force=args.force)
+    basis, unitary = named_basis(args.basis, args.n, args.tol, force=args.force)
     system = standard_system(args.n, force=args.force)
     if getattr(args, "perm", None) is not None:
-        system = permute_system(system, _parse_perm(args.perm, system.dim), tol)
+        system = permute_system(system, _parse_perm(args.perm, system.dim), args.tol)
     if unitary is not None:
-        system = transformed_system(unitary, system, tol)
+        system = transformed_system(unitary, system, args.tol)
     return system, basis, unitary
 
 
@@ -160,7 +161,7 @@ def _report(e: Exception) -> int:
 def _cmd_build(args) -> tuple[Any, int]:
     from . import jsonio
     _check_dense(args.n)
-    system, _, _ = _build_system(args, _resolve_tol(args))
+    system, _, _ = _build_system(args)
     return {**jsonio.system_to_json(system), "basis": args.basis}, EXIT_OK
 
 
@@ -168,15 +169,18 @@ def _cmd_verify(args) -> tuple[Any, int]:
     from . import jsonio
     from .bases import standard_basis
     from .systems import verify_system
-    tol = _resolve_tol(args)
     if args.file:
+        if args.perm is not None or args.basis != "standard":
+            flag = "--perm" if args.perm is not None else "--basis"
+            raise ValueError(f"verify --file takes no {flag}: "
+                             "it verifies the file's system as stored, in the standard basis")
         system = _read_json(args.file, jsonio.system_from_json)
         basis = standard_basis(system.n, force=args.force)
     else:
         # named_basis certifies a catalog unitary at tol; the standard basis is exact
-        system, basis, _ = _build_system(args, tol)
+        system, basis, _ = _build_system(args)
 
-    failures, report, separating = verify_system(system, basis, tol)
+    failures, report, separating = verify_system(system, basis, args.tol)
     payload = jsonio.requirement_report_to_json(report) if report is not None else {}
     payload.update(certified=not failures, separates=separating, failures=failures)
     return payload, EXIT_OK if not failures else EXIT_PROPERTY_VIOLATION
@@ -186,7 +190,6 @@ def _cmd_transform(args) -> tuple[Any, int]:
     from . import jsonio
     from .partitions import Partition, is_atomic
     from .systems import answer_codes
-    tol = _resolve_tol(args)
     wanted = [w.strip() for w in args.emit.split(",") if w.strip()]
     known = {"projectors", "partitions", "codes", "basis", "unitary", "meet"}
     unknown = set(wanted) - known
@@ -196,12 +199,12 @@ def _cmd_transform(args) -> tuple[Any, int]:
         raise ValueError(f"--emit needs at least one of {sorted(known)}")
     if {"projectors", "basis"} & set(wanted):  # N x N amplitudes each
         _check_dense(args.n)
-    system, basis, unitary = _build_system(args, tol)
+    system, basis, unitary = _build_system(args)
     payload: dict[str, Any] = {"n": args.n, "basis": args.basis}
     if "projectors" in wanted:
         payload["projectors"] = [jsonio.matrix_to_json(p) for p in system.projectors]
     if {"partitions", "meet", "codes"} & set(wanted):
-        codes = answer_codes(system, basis, tol)
+        codes = answer_codes(system, basis, args.tol)
     if "partitions" in wanted:
         payload["partitions"] = [jsonio.partition_to_json(Partition.from_codes(column))
                                  for column in codes.T]
@@ -237,25 +240,24 @@ def _cmd_enumerate(args) -> tuple[Any, int]:
 def _cmd_simulate(args) -> tuple[Any, int]:
     from . import jsonio
     from .sieve import measure_and_sample, measure_state, route_basis_state, sample_detections
-    tol = _resolve_tol(args)
     if (args.index is None) == (args.state is None):
         raise ValueError("simulate needs exactly one of --index or --state")
-    system, basis, _ = _build_system(args, tol)
+    system, basis, _ = _build_system(args)
     if args.index is not None:
         if not 1 <= args.index <= basis.size:
             raise ValueError(f"--index must be in 1..{basis.size}, got {args.index}")
-        outcome = route_basis_state(system, basis, args.index, tol)
+        outcome = route_basis_state(system, basis, args.index, args.tol)
         payload: dict[str, Any] = jsonio.outcome_to_json(outcome)
         payload["state"] = basis.label(args.index)
         if args.sample:
             counts = sample_detections(system, basis.vector(args.index), args.sample,
-                                       args.seed, tol)
+                                       args.seed, args.tol)
     else:
         state = _read_json(args.state, jsonio.vector_from_json)
         if args.sample:  # one branch-weight tree for both
-            dist, counts = measure_and_sample(system, state, args.sample, args.seed, tol)
+            dist, counts = measure_and_sample(system, state, args.sample, args.seed, args.tol)
         else:
-            dist = measure_state(system, state, tol)
+            dist = measure_state(system, state, args.tol)
         payload = jsonio.distribution_to_json(dist)
     if args.sample:
         payload["sample"] = {"trials": args.sample, "seed": args.seed,
@@ -275,10 +277,9 @@ def _cmd_pauli(args) -> tuple[Any, int]:
     from . import jsonio
     from .paulis import CERECEDA_AXES, cereceda_system, normalize_axes, sigma_product_proposition
     from .systems import certify_system
-    tol = _resolve_tol(args)
     if args.cereceda:
         system = cereceda_system()
-        failures = certify_system(system, tol)
+        failures = certify_system(system, args.tol)
         payload = {**jsonio.system_to_json(system), "axes": list(CERECEDA_AXES),
                    "certified": not failures}
         return payload, EXIT_OK if not failures else EXIT_PROPERTY_VIOLATION
@@ -394,6 +395,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; an error writing its output (BrokenPipeError too) propagates."""
     args = build_parser().parse_args(argv)
     try:
+        if args.tol is None:
+            env = os.environ.get("SIEVE_TOL")
+            args.tol = _tolerance(env, "SIEVE_TOL") if env else DEFAULT_TOL
         payload, code = args.func(args)
         text = _render(args, payload)  # a NaN in the payload is a ValueError here
     except (ValueError, OSError, MemoryError) as e:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import max_abs, tensor
+from .linalg import tensor
 from .systems import PropositionSystem, _check_n
 
 PAULI_AXES = ("x", "y", "z")
@@ -41,16 +41,6 @@ def pauli(axis: str) -> np.ndarray:
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of {PAULI_AXES}, got {axis!r}")
     return _PAULI[axis].copy()
-
-
-def _check_involutions() -> None:
-    # sigma_a^2 = identity for each axis; guards against transcription slips.
-    for axis, m in _PAULI.items():
-        if max_abs(m @ m - np.eye(2)) != 0.0:
-            raise AssertionError(f"pauli {axis} is not an involution")
-
-
-_check_involutions()
 
 
 def embed(axis: str, site: int, n: int) -> np.ndarray:

@@ -22,6 +22,11 @@ def test_bench_script_at_n_2(tmp_path):
     assert len(cases) == len(record["cases"]) == 21
     assert all(c["best_ms"] > 0 and len(c["sha256"]) == 64 for c in cases.values())
     assert all(("peak_mb" in c) == (c["kind"] == "layer") for c in cases.values())
+    # a cli case's child CPU time (user + sys) comes from getrusage(RUSAGE_CHILDREN)
+    for c in cases.values():
+        has_cpu = {"cpu_best_ms", "cpu_median_ms"} <= c.keys()
+        assert has_cpu == (c["kind"] == "cli")
+        assert not has_cpu or 0 < c["cpu_best_ms"] <= c["cpu_median_ms"]
     assert cases["layer", "cli.main verify --force"]["n"] == 16
     assert cases["layer", "cli.main verify --n 18 --force"]["n"] == 18
     assert cases["layer", "cli.main simulate --n 16 --force --index 777"]["n"] == 16

@@ -72,6 +72,17 @@ class TestPerm:
         assert json.loads(err)["error"] == {
             "type": "ValueError", "message": f"--perm targets must be in 1..2, got {target}"}
 
+    @pytest.mark.parametrize("perm, message", [
+        ("1,2", "--perm must list 4 targets, got 2"),
+        ("1,1,2,3", "--perm repeats target 1; each of 1..4 must appear once"),
+        ("4,3,2,1,4", "--perm repeats target 4; each of 1..4 must appear once")],
+        ids=["count", "repeat", "repeat past the count"])
+    def test_a_wrong_count_or_a_repeat_is_refused_in_its_terms(self, capsys, perm, message):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--perm", perm)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+        assert "0..N-1" not in err and "(2,)" not in err
+
 
 class TestVerify:
     @pytest.mark.parametrize("basis", ["standard", "ghz", "w", "equal_weight"])
@@ -125,6 +136,15 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["failures"] == ["system does not separate the basis"]
 
+    @pytest.mark.parametrize("flag, value", [("--perm", "2,1"), ("--basis", "ghz")])
+    def test_file_refuses_what_it_would_ignore(self, capsys, tmp_path, flag, value):
+        path = tmp_path / "absent.json"  # refused before the file is read
+        code, out, err = run_cli(capsys, "verify", "--file", str(path), flag, value)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": f"verify --file takes no {flag}: it verifies "
+                                             "the file's system as stored, in the standard basis"}
+
     def test_tol_flag_beats_environment(self, capsys, tmp_path, monkeypatch):
         slightly_off = np.diag([1.0 + 1e-6, 0.0]).astype(complex)
         path = tmp_path / "near.json"
@@ -156,10 +176,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
     def test_bad_tol_environment_is_a_validation_error(self, capsys, monkeypatch, tol):
+        # main resolves the tolerance before any command runs, so each one refuses it
         monkeypatch.setenv("SIEVE_TOL", tol)
-        code, out, err = run_cli(capsys, "verify", "--n", "2")
-        assert code == 3 and out == ""
-        assert "SIEVE_TOL" in json.loads(err)["error"]["message"]
+        for command in ["build --n 2", "verify --n 2", "transform --n 2", "partition --n 2",
+                        "simulate --n 2 --index 1", "stats --n 2", "enumerate --count-only",
+                        "pauli --cereceda", "minimality --n 2"]:
+            code, out, err = run_cli(capsys, *command.split())
+            assert code == 3 and out == "", command
+            assert "SIEVE_TOL" in json.loads(err)["error"]["message"], command
 
     def test_zero_tol_certifies_an_exact_system(self, capsys):
         assert run_json(capsys, "verify", "--n", "2", "--tol", "0")["certified"]

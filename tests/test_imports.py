@@ -68,6 +68,18 @@ def test_a_command_loads_only_the_modules_it_calls(args, absent):
     assert "dataclasses" not in modules
 
 
+@pytest.mark.parametrize("preset, seen", [(None, "20"), ("7", "7")])
+def test_the_cli_gives_openblas_a_short_thread_timeout(preset, seen):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    proc = subprocess.run([sys.executable, "-c", "import os, statesieve.cli; "
+                           "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == seen
+
+
 def test_importing_the_cli_loads_numpy():
     # benchmarks/run.py reads numpy's import time from `import statesieve.cli`
     assert "numpy" in imported("-c", "import statesieve.cli")
