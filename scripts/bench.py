@@ -7,8 +7,10 @@
 Layer cases call the library (and `cli.main`) in this process: question
 counts, sampling an eigenstate and a random state, measuring a random state,
 the enumeration count, the answer codes of the standard system, routing a
-standard basis state, `verify` and `simulate --state --sample`.  Once per
-run come `verify --n 16 --force` and `verify --n 18 --force`, past the
+standard basis state, `verify`, `simulate --state --sample`, `partition`
+and `transform --emit partitions,meet,codes`, the two commands that print
+partitions.  Once per run come `verify --n 16 --force` and
+`verify --n 18 --force`, past the
 dense-size guard, `simulate --n 16 --force --index 777`, which prints one of
 65536 labels, `question_count_stats` at n = 3 with 50000 trials (the
 slowest `stats` command of the cascade_sample workload), `sample_detections`
@@ -69,6 +71,7 @@ FORCE_INDEX = 777
 LONG_STATS_TRIALS = 50000
 SHORT_SAMPLE_TRIALS = 5
 PAULI_AXES = "xyyxyyxyyx"  # the permuted triple's pattern at n = 10
+EMIT = "partitions,meet,codes"  # what certify_dense's transform commands print
 
 
 def _sha(data: bytes) -> str:
@@ -126,6 +129,9 @@ def cases(n: int, state_path: str):
         route_basis_state(system, standard_basis(n), dim // 3 + 1)).encode()
     for name in ("enumerate count", "verify", "simulate state sample"):
         yield "layer", f"cli.main {name}", lambda argv=commands[name]: _cli_stdout(argv)
+    yield "layer", "cli.main partition", lambda: _cli_stdout(["partition", "--n", str(n)])
+    yield "layer", f"cli.main transform --emit {EMIT}", lambda: _cli_stdout(
+        ["transform", "--n", str(n), "--emit", EMIT])
     for name, argv in commands.items():
         yield "cli", name, lambda argv=argv: _subprocess_stdout(argv)
 

@@ -66,12 +66,14 @@ def _count_arg(flag: str):
 
 
 def _read_json(path: str, decode):
-    """decode(the JSON value in path); nesting too deep to parse is a ValueError naming it."""
+    """decode(the JSON value in path); text that does not parse is a ValueError naming it."""
     try:
         with open(path) as fh:
             return decode(json.load(fh))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: not valid JSON: {e}") from None
 
 
 def _parse_perm(text: str, dim: int) -> list[int]:
@@ -170,13 +172,16 @@ def _cmd_verify(args) -> tuple[Any, int]:
     from .bases import standard_basis
     from .systems import verify_system
     if args.file:
-        if args.perm is not None or args.basis != "standard":
-            flag = "--perm" if args.perm is not None else "--basis"
-            raise ValueError(f"verify --file takes no {flag}: "
-                             "it verifies the file's system as stored, in the standard basis")
+        for flag, given in (("--n", args.n is not None), ("--perm", args.perm is not None),
+                            ("--basis", args.basis != "standard")):
+            if given:
+                raise ValueError(f"verify --file takes no {flag}: it verifies the file's "
+                                 "system as stored, in the standard basis")
         system = _read_json(args.file, jsonio.system_from_json)
         basis = standard_basis(system.n, force=args.force)
     else:
+        if args.n is None:  # None only so that --file can refuse a given --n
+            args.n = 3
         # named_basis certifies a catalog unitary at tol; the standard basis is exact
         system, basis, _ = _build_system(args)
 
@@ -188,8 +193,7 @@ def _cmd_verify(args) -> tuple[Any, int]:
 
 def _cmd_transform(args) -> tuple[Any, int]:
     from . import jsonio
-    from .partitions import Partition, is_atomic
-    from .systems import answer_codes
+    from .systems import _code_blocks, answer_codes
     wanted = [w.strip() for w in args.emit.split(",") if w.strip()]
     known = {"projectors", "partitions", "codes", "basis", "unitary", "meet"}
     unknown = set(wanted) - known
@@ -206,12 +210,11 @@ def _cmd_transform(args) -> tuple[Any, int]:
     if {"partitions", "meet", "codes"} & set(wanted):
         codes = answer_codes(system, basis, args.tol)
     if "partitions" in wanted:
-        payload["partitions"] = [jsonio.partition_to_json(Partition.from_codes(column))
+        payload["partitions"] = [jsonio.partition_to_json(len(codes), _code_blocks(column))
                                  for column in codes.T]
     if "meet" in wanted:
-        m = Partition.from_codes(codes)
-        payload["meet"] = jsonio.partition_to_json(m)
-        payload["atomic"] = is_atomic(m)
+        payload["meet"] = jsonio.partition_to_json(len(codes), _code_blocks(codes))
+        payload["atomic"] = len(payload["meet"]["blocks"]) == len(codes)
     if "codes" in wanted:
         payload["codes"] = [{"state": k, "bits": bits}
                             for k, bits in enumerate(codes.tolist(), start=1)]
@@ -321,9 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--force", action="store_true",
                         help="override resource guards")
 
-    sized = argparse.ArgumentParser(add_help=False)
-    sized.add_argument("--n", type=int, default=3, help="number of particles")
-    sized.add_argument("--basis", choices=BASIS_KEYS, default="standard")
+    def sized_parent(n: int | None) -> argparse.ArgumentParser:
+        """--n (default n) and --basis; subparsers share a parent's actions, defaults too."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--n", type=int, default=n, help="number of particles")
+        parent.add_argument("--basis", choices=BASIS_KEYS, default="standard")
+        return parent
+
+    sized = sized_parent(3)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", help="comma list: 1-based target position of each column")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("verify", parents=[common, sized],
+    p = sub.add_parser("verify", parents=[common, sized_parent(None)],
                        help="certify projectors, requirements, separation")
     p.add_argument("--perm")
     p.add_argument("--file", help="verify a system from a JSON file instead")
@@ -378,9 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pauli", parents=[common],
                        help="sigma-product propositions from an axis string")
-    p.add_argument("--axes", help="one of x/y/z per particle, e.g. xyy")
-    p.add_argument("--cereceda", action="store_true",
-                   help="emit the permuted xyy/yxy/yyx triple")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--axes", help="one of x/y/z per particle, e.g. xyy")
+    which.add_argument("--cereceda", action="store_true",
+                       help="emit the permuted xyy/yxy/yyx triple")
     p.set_defaults(func=_cmd_pauli)
 
     p = sub.add_parser("minimality", parents=[common],

@@ -17,7 +17,6 @@ from .linalg import as_vector
 
 if TYPE_CHECKING:  # annotations only, so importing jsonio loads none of these
     from .bases import Basis
-    from .partitions import Partition
     from .sieve import DetectorOutcome, MeasurementDistribution, StrategyStats
     from .systems import MinimalityReport, PropositionSystem, RequirementReport
 
@@ -105,8 +104,8 @@ def system_from_json(obj: Any) -> PropositionSystem:
     return PropositionSystem(n, tuple(projs))
 
 
-def partition_to_json(p: Partition) -> dict[str, Any]:
-    return {"ground": p.ground_size, "blocks": [list(b) for b in p.blocks]}
+def partition_to_json(ground_size: int, blocks) -> dict[str, Any]:
+    return {"ground": ground_size, "blocks": [list(b) for b in blocks]}
 
 
 def basis_to_json(b: Basis) -> dict[str, Any]:

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .linalg import DEFAULT_TOL, as_matrix
+from .systems import _code_blocks
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -61,12 +62,7 @@ class Partition:
     def from_codes(cls, codes) -> "Partition":
         """Blocks of the 1-based positions that share a code row; a 1-D array
         holds one code bit per position."""
-        codes = np.asarray(codes)
-        rows = codes if codes.ndim == 2 else codes[:, np.newaxis]
-        groups: dict[tuple, list[int]] = {}
-        for k, row in enumerate(rows.tolist(), start=1):
-            groups.setdefault(tuple(row), []).append(k)
-        return cls(len(rows), tuple(map(tuple, groups.values())))
+        return cls(len(codes), _code_blocks(codes))
 
 
 def partition_from_projector(p, basis: "Basis",

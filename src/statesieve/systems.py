@@ -305,6 +305,16 @@ def _requirement_report(codes: np.ndarray,
     return RequirementReport(not noncommuting, balanced, refining, tuple(failures))
 
 
+def _code_blocks(codes) -> list[list[int]]:
+    """1-based positions grouped by code row (1-D: by bit), ascending, by first position."""
+    codes = np.asarray(codes)
+    rows = codes if codes.ndim == 2 else codes[:, np.newaxis]
+    groups: dict[tuple, list[int]] = {}
+    for k, row in enumerate(rows.tolist(), start=1):
+        groups.setdefault(tuple(row), []).append(k)
+    return list(groups.values())
+
+
 def _distinct_rows(codes) -> bool:
     """True iff the rows of a 0/1 code matrix of any width are pairwise distinct."""
     rows = np.packbits(np.asarray(codes, dtype=bool), axis=1)

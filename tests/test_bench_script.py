@@ -19,7 +19,7 @@ def test_bench_script_at_n_2(tmp_path):
     assert {"nproc", "cpu_model"} <= record["machine"].keys()
     assert {"python", "numpy"} <= record["software"].keys()
     cases = {(c["kind"], c["name"]): c for c in record["cases"]}
-    assert len(cases) == len(record["cases"]) == 21
+    assert len(cases) == len(record["cases"]) == 23
     assert all(c["best_ms"] > 0 and len(c["sha256"]) == 64 for c in cases.values())
     assert all(("peak_mb" in c) == (c["kind"] == "layer") for c in cases.values())
     # a cli case's child CPU time (user + sys) comes from getrusage(RUSAGE_CHILDREN)
@@ -35,6 +35,8 @@ def test_bench_script_at_n_2(tmp_path):
     assert cases["layer", "sigma_product_proposition xyyxyyxyyx"]["n"] == 10
     assert cases["cli", "--help"]["n"] is None
     assert cases["cli", "verify --n 3"]["n"] == 3
+    assert cases["layer", "cli.main partition"]["n"] == 2
+    assert cases["layer", "cli.main transform --emit partitions,meet,codes"]["n"] == 2
     # a command prints the same bytes in-process and as a fresh process
     for name in ("enumerate count", "verify", "simulate state sample"):
         assert cases["layer", f"cli.main {name}"]["sha256"] == cases["cli", name]["sha256"]

@@ -136,7 +136,8 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["failures"] == ["system does not separate the basis"]
 
-    @pytest.mark.parametrize("flag, value", [("--perm", "2,1"), ("--basis", "ghz")])
+    @pytest.mark.parametrize("flag, value", [("--perm", "2,1"), ("--basis", "ghz"),
+                                             ("--n", "7"), ("--n", "3")])
     def test_file_refuses_what_it_would_ignore(self, capsys, tmp_path, flag, value):
         path = tmp_path / "absent.json"  # refused before the file is read
         code, out, err = run_cli(capsys, "verify", "--file", str(path), flag, value)
@@ -159,13 +160,23 @@ class TestVerify:
 
 
     @pytest.mark.parametrize("text", ["{}", '{"n": 2}', json.dumps(
-        {"n": 1, "projectors": [{"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0], [0, 0]]}]})])
+        {"n": 1, "projectors": [{"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0], [0, 0]]}]}),
+        "", "not json", '{"n": '])
     def test_malformed_file_is_a_validation_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         code, out, err = run_cli(capsys, "verify", "--file", str(path))
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("text", ["", "not json", '{"n": '])
+    def test_unparsable_file_names_its_path(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--file", str(path))
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and str(path) in error["message"]
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
     def test_bad_tol_flag_is_a_usage_error(self, capsys, tol):
@@ -418,6 +429,14 @@ class TestSimulate:
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    def test_non_json_state_names_its_path(self, capsys, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text("not json")
+        code, out, err = run_cli(capsys, "simulate", "--n", "1", "--state", str(path))
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and str(path) in error["message"]
+
     def test_deeply_nested_state_is_a_validation_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
@@ -521,6 +540,13 @@ class TestPauli:
     def test_needs_axes_or_triple(self, capsys):
         code, _, _ = run_cli(capsys, "pauli")
         assert code == 3
+
+    def test_axes_and_triple_are_alternatives(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pauli", "--cereceda", "--axes", "zzzz"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "not allowed with argument" in captured.err
 
     @pytest.mark.parametrize("force", [[], ["--force"]])
     def test_size_error_names_the_commands_limit(self, capsys, force):

@@ -303,6 +303,8 @@ class TestVerifyBuildsNoPartition:
         ("verify --n 12 --force", 0),
         ("verify --basis ghz", 0),
         (f"verify --file {GOLDEN / 'parity_n3.json'}", 1),
+        ("partition --n 3", 0),
+        ("transform --n 3 --basis w --emit partitions,meet", 0),
     ])
     def test_command(self, capsys, argv, exit_code):
         assert main(argv.split()) == exit_code, capsys.readouterr().err
@@ -313,6 +315,6 @@ class TestVerifyBuildsNoPartition:
         assert standard_subset_meets_nonatomic(3, basis)
         assert minimality_certificate(2).ok
 
-    def test_the_guard_trips_on_printed_partitions(self, capsys):
+    def test_the_guard_trips_on_printed_partitions(self):
         with pytest.raises(AssertionError, match="Partition built"):
-            main(["partition", "--n", "2"])
+            system_partitions(standard_system(2), standard_basis(2))

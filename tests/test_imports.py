@@ -58,13 +58,16 @@ def imported(*args: str) -> set[str]:
      ["bases", "partitions", "paulis", "sieve", "_trials"]),
     (["-m", "statesieve", "enumerate", "--n", "2", "--count-only"],
      ["bases", "partitions", "paulis", "sieve", "jsonio", "_trials"]),
+    (["-m", "statesieve", "partition", "--n", "3"], ["partitions", "paulis", "sieve", "_trials"]),
+    (["-m", "statesieve", "transform", "--n", "3", "--basis", "ghz", "--emit",
+      "partitions,meet,codes"], ["partitions", "paulis", "sieve", "_trials"]),
 ], ids=["import", "help", "verify", "stats", "simulate", "build", "pauli", "minimality",
-        "enumerate"])
+        "enumerate", "partition", "transform"])
 def test_a_command_loads_only_the_modules_it_calls(args, absent):
     modules = imported(*args)
     assert "statesieve" in modules
     assert modules.isdisjoint(f"statesieve.{name}" for name in absent)
-    # the records are NamedTuples: only Partition (transform, partition) is a dataclass
+    # the records are NamedTuples, and no command builds a Partition, the one dataclass
     assert "dataclasses" not in modules
 
 

@@ -99,7 +99,7 @@ class TestStructures:
 
     def test_partition_round_trip(self):
         p = Partition(8, ((1, 4, 6, 7), (2, 3, 5, 8)))
-        obj = json.loads(json.dumps(jsonio.partition_to_json(p)))
+        obj = json.loads(json.dumps(jsonio.partition_to_json(p.ground_size, p.blocks)))
         assert obj == {"ground": 8, "blocks": [[1, 4, 6, 7], [2, 3, 5, 8]]}
         assert Partition(obj["ground"], tuple(map(tuple, obj["blocks"]))) == p
 
