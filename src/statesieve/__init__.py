@@ -14,12 +14,11 @@ _EXPORTS = {
                "is_unitary", "tensor"),
     "partitions": ("Partition", "is_atomic", "meet", "meet_all", "partition_from_projector",
                    "refines"),
-    "systems": ("ColumnCode", "MinimalityReport", "PropositionSystem", "RequirementReport",
-                "ResourceLimitError", "answer_codes", "certify_system", "column_codes",
-                "count_systems", "enumerate_systems", "minimality_certificate",
-                "permute_system", "separates", "standard_diagonals", "standard_system",
-                "system_from_diagonals", "system_partitions", "verify_requirements",
-                "verify_system"),
+    "systems": ("MinimalityReport", "PropositionSystem", "RequirementReport",
+                "ResourceLimitError", "answer_codes", "certify_system", "count_systems",
+                "enumerate_systems", "minimality_certificate", "permute_system", "separates",
+                "standard_diagonals", "standard_system", "system_from_diagonals",
+                "system_partitions", "verify_requirements", "verify_system"),
     "bases": ("Basis", "NamedUnitary", "basis_from_unitary", "combo_label",
               "equal_weight_basis", "equal_weight_unitary", "ghz_basis", "ghz_unitary",
               "ket_label", "named_basis", "standard_basis", "transformed_system", "w_basis",

@@ -53,6 +53,7 @@ class Basis:
     def vectors(self) -> np.ndarray:
         """The dense complex (size, dim) array, built once from the identity form if needed."""
         if self._vectors is None:
+            _check_n(self.dim.bit_length() - 1, force=True, ceiling="MAX_N")
             self._vectors = np.eye(self.dim, dtype=complex)
         return self._vectors
 

@@ -66,13 +66,13 @@ def _count_arg(flag: str):
 
 
 def _read_json(path: str, decode):
-    """decode(the JSON value in path); text that does not parse is a ValueError naming it."""
+    """decode(the JSON value in path); UTF-8 text that does not parse is a ValueError naming it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return decode(json.load(fh))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to decode") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ValueError(f"{path}: not valid JSON: {e}") from None
 
 

@@ -60,8 +60,10 @@ class PropositionSystem:
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
-        """The dense complex N x N matrices, built once from the diagonals if needed."""
+        """The dense complex N x N matrices, built once from the diagonals if needed
+        (n <= MAX_N, force or not)."""
         if self._projectors is None:
+            _check_n(self.n, force=True, ceiling="MAX_N")
             self._projectors = tuple(np.diag(row.astype(complex)) for row in self.diagonals)
         return self._projectors
 
@@ -81,21 +83,6 @@ class PropositionSystem:
         """Projector i (0-based) applied to v: d * v or P @ v."""
         p = self.operator(i)
         return p * v if p.ndim == 1 else p @ v
-
-
-class ColumnCode(NamedTuple):
-    """Bit column read down the stacked diagonals at one basis position."""
-
-    position: int                # 1-based basis position
-    bits: tuple[int, ...]        # one bit per proposition, first proposition first
-
-    @property
-    def value(self) -> int:
-        """The bits as a binary number, most significant bit first."""
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
 
 
 class RequirementReport(NamedTuple):
@@ -340,31 +327,6 @@ def verify_system(system: PropositionSystem, basis: "Basis", tol: float = DEFAUL
     return failures, report, separating
 
 
-def _diagonals_of(system: PropositionSystem, tol: float) -> np.ndarray:
-    """The 0/1 diagonals: stored ones as they are, dense ones extracted after
-    rejecting non-diagonal or non-0/1 projectors."""
-    if system.diagonals is not None:
-        return system.diagonals
-    rows = []
-    for i, p in enumerate(system.projectors, start=1):
-        d = np.diag(p)
-        if max_abs(p - np.diag(d)) > tol:
-            raise ValueError(f"projector {i} is not diagonal")
-        try:
-            rows.append(quotient_bits(d, tol))
-        except EigenbasisError:
-            raise ValueError(f"projector {i} diagonal is not 0/1") from None
-    return np.array(rows)
-
-
-def column_codes(system: PropositionSystem,
-                 tol: float = DEFAULT_TOL) -> list[ColumnCode]:
-    """The n-bit word at each basis position of a diagonal 0/1 system."""
-    diags = _diagonals_of(system, tol)
-    return [ColumnCode(k + 1, tuple(int(b) for b in diags[:, k]))
-            for k in range(diags.shape[1])]
-
-
 def permute_system(system: PropositionSystem,
                    perm: Sequence[int],
                    tol: float = DEFAULT_TOL) -> PropositionSystem:
@@ -375,7 +337,18 @@ def permute_system(system: PropositionSystem,
     permutations composes the maps: permute(permute(S, p), q) equals
     permute(S, q o p).
     """
-    diags = _diagonals_of(system, tol)
+    diags = system.diagonals
+    if diags is None:  # dense: extract the 0/1 diagonals after rejecting anything else
+        rows = []
+        for i, proj in enumerate(system.projectors, start=1):
+            d = np.diag(proj)
+            if max_abs(proj - np.diag(d)) > tol:
+                raise ValueError(f"projector {i} is not diagonal")
+            try:
+                rows.append(quotient_bits(d, tol))
+            except EigenbasisError:
+                raise ValueError(f"projector {i} diagonal is not 0/1") from None
+        diags = np.array(rows)
     p, size = np.asarray(perm, dtype=int), diags.shape[1]
     if p.shape != (size,):
         raise ValueError(f"permutation must have length {size}, got {p.shape}")

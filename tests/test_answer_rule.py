@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statesieve import EigenbasisError, PropositionSystem, column_codes
+from statesieve import EigenbasisError, PropositionSystem, permute_system
 from statesieve.cli import main
 from statesieve.linalg import quotient_bits
 from statesieve.sieve import MeasurementDistribution
@@ -101,12 +101,12 @@ class TestDiagonals:
     def test_the_modulus_is_measured(self):
         system = PropositionSystem(1, [np.diag([1 + 0.3j, 0])])
         with pytest.raises(ValueError, match="projector 1 diagonal is not 0/1"):
-            column_codes(system, tol=0.2)
-        assert column_codes(system, tol=0.4)[0].bits == (1,)
+            permute_system(system, range(2), tol=0.2)
+        assert permute_system(system, range(2), tol=0.4).diagonals[:, 0].tolist() == [1]
 
     def test_ones_read_one_at_tol_one(self):
         system = PropositionSystem(1, [np.diag([1.0, 0.0])])
-        assert [c.bits for c in column_codes(system, tol=1.0)] == [(1,), (0,)]
+        assert permute_system(system, range(2), tol=1.0).diagonals.tolist() == [[1, 0]]
 
 
 class TestPointMass:

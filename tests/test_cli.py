@@ -211,6 +211,15 @@ class TestVerify:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError" and str(path) in error["message"]
 
+    @pytest.mark.parametrize("command", ["verify --file", "simulate --n 1 --state"])
+    def test_non_utf8_input_names_its_file(self, capsys, tmp_path, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run_cli(capsys, *command.split(), str(path))
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and error["message"].startswith(f"{path}: ")
+
 
 class TestTransform:
     def test_ghz_partitions_and_meet(self, capsys):
@@ -362,7 +371,8 @@ class TestForceHint:
     """A size refusal offers "override with force" exactly where --force lifts it.
     MAX_N and STRUCTURED_MAX_N are lowered to 2 and 3, so every command refuses
     n = 3 and 4 without --force; each enumerate but the unlimited count takes
-    --limit 1, so no full enumeration runs."""
+    --limit 1, so no full enumeration runs.  pauli and verify --file take no --n:
+    the axes and the file fix n."""
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("command", [
@@ -376,7 +386,7 @@ class TestForceHint:
         monkeypatch.setattr(systems, "MAX_N", 2)
         monkeypatch.setattr(systems, "STRUCTURED_MAX_N", 3)
         argv = command.format(file=path, axes="x" * n).split()
-        if argv[0] != "pauli":
+        if argv[0] != "pauli" and "--file" not in argv:
             argv += ["--n", str(n)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
@@ -466,6 +476,14 @@ class TestSimulate:
         assert payload["detector"] == 777 and payload["state"] == "|++++++--++++-+++>"
         counts = payload["sample"]["counts"]
         assert len(counts) == 2 ** 16 and counts[776] == sum(counts) == 50
+
+    @pytest.mark.parametrize("argv, got", [(["--index", "0"], 0), (["--index", "9"], 9),
+                                           (["--index", "9", "--sample", "3"], 9)])
+    def test_index_out_of_range_is_refused(self, capsys, argv, got):
+        code, out, err = run_cli(capsys, "simulate", "--n", "3", *argv)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {"type": "ValueError",
+                                            "message": f"--index must be in 1..8, got {got}"}
 
     def test_needs_exactly_one_input(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--n", "2")

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statesieve import (PropositionSystem, answer_codes, certify_system, column_codes,
+from statesieve import (PropositionSystem, answer_codes, certify_system,
                         enumerate_systems, jsonio, measure_state, permute_system,
                         route_basis_state, sample_detections, standard_basis,
-                        standard_system, system_from_diagonals)
+                        standard_system, system_from_diagonals, systems)
 from statesieve.cli import main
 
 
@@ -36,6 +36,15 @@ class TestForm:
         first = system.projectors
         assert first is system.projectors
         assert np.array_equal(first[0], np.diag([1, 1, 0, 0]).astype(complex))
+
+    def test_dense_projectors_and_vectors_keep_the_dense_limit(self, monkeypatch):
+        monkeypatch.setattr(systems, "MAX_N", 2)  # nothing N x N is built past it, even forced
+        system, basis = standard_system(3, force=True), standard_basis(3, force=True)
+        for owner, dense in ((system, "projectors"), (basis, "vectors")):
+            with pytest.raises(ValueError) as err:
+                getattr(owner, dense)
+            assert str(err.value) == ("n = 3 exceeds MAX_N = 2, the largest n whose N x N "
+                                      "arrays are built, even with force")
 
     def test_diagonals_are_read_only(self):
         with pytest.raises(ValueError):
@@ -93,7 +102,6 @@ class TestAgainstDenseTwin:
         assert got.tobytes() == want.tobytes()
         assert (sample_detections(system, state, 40, seed)
                 == sample_detections(twin, state, 40, seed))
-        assert column_codes(system) == column_codes(twin)
 
 
 @pytest.fixture

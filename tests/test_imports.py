@@ -14,11 +14,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # every name `import statesieve` bound when it imported all of its modules at once
 EAGER_EXPORTS = [
-    "Basis", "CERECEDA_AXES", "CERECEDA_PREIMAGE_DIAGONALS", "ColumnCode", "DEFAULT_TOL",
+    "Basis", "CERECEDA_AXES", "CERECEDA_PREIMAGE_DIAGONALS", "DEFAULT_TOL",
     "DetectorOutcome", "EigenbasisError", "LinearDependenceError", "MeasurementDistribution",
     "MinimalityReport", "NamedUnitary", "Partition", "PropositionSystem", "QuestionCountRecord",
     "RequirementReport", "ResourceLimitError", "StatsSummary", "StrategyStats", "answer_codes",
-    "basis_from_unitary", "cereceda_system", "certify_system", "column_codes", "combo_label",
+    "basis_from_unitary", "cereceda_system", "certify_system", "combo_label",
     "commutator_norm", "conjugate", "count_systems", "dagger", "detector_for_bits",
     "eigenvalue_bit", "embed", "enumerate_systems", "equal_weight_basis", "equal_weight_unitary",
     "ghz_basis", "ghz_unitary", "gram_schmidt", "is_atomic", "is_projector", "is_unitary",

@@ -8,8 +8,8 @@ import pickle
 import numpy as np
 import pytest
 
-from statesieve import (ColumnCode, DetectorOutcome, MeasurementDistribution, MinimalityReport,
-                        NamedUnitary, QuestionCountRecord, RequirementReport, StatsSummary,
+from statesieve import (DetectorOutcome, MeasurementDistribution, MinimalityReport, NamedUnitary,
+                        QuestionCountRecord, RequirementReport, StatsSummary,
                         StrategyStats, jsonio, minimality_certificate, question_count_stats,
                         route_basis_state, standard_basis, standard_system)
 
@@ -27,7 +27,6 @@ RECORDS = {
                      ("mean", EMPTY), ("max", EMPTY)], STATS),
     StatsSummary: ([("naive", EMPTY), ("sieve", EMPTY)],
                    StatsSummary(STATS, StrategyStats("sieve", 3, 10, 1, 3.0, 3))),
-    ColumnCode: ([("position", EMPTY), ("bits", EMPTY)], ColumnCode(2, (1, 0))),
     RequirementReport: ([("co_measurable", EMPTY), ("balanced_halves", EMPTY),
                          ("pairwise_quarters", EMPTY), ("failures", EMPTY)],
                         RequirementReport(True, False, True, ("projector 2 is not balanced",))),
@@ -82,7 +81,6 @@ def test_records_are_tuples_of_their_fields(cls):
     (RECORDS[MeasurementDistribution][1], "MeasurementDistribution(probabilities=(0.25, 0.75))"),
     (RECORDS[QuestionCountRecord][1],
      "QuestionCountRecord(state_index=3, questions_asked=2, strategy='naive')"),
-    (RECORDS[ColumnCode][1], "ColumnCode(position=2, bits=(1, 0))"),
     (RECORDS[RequirementReport][1],
      "RequirementReport(co_measurable=True, balanced_halves=False, pairwise_quarters=True, "
      "failures=('projector 2 is not balanced',))"),
@@ -101,7 +99,6 @@ def test_repr_names_every_field(record, text):
 
 
 def test_properties_and_methods():
-    assert ColumnCode(1, (1, 1, 0)).value == 6
     assert not RECORDS[RequirementReport][1].ok
     assert RequirementReport(True, True, True, ()).ok
     assert RECORDS[MinimalityReport][1].ok and minimality_certificate(2).ok

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statesieve import (EigenbasisError, PropositionSystem,
+from statesieve import (CERECEDA_PREIMAGE_DIAGONALS, EigenbasisError, PropositionSystem,
                         ResourceLimitError, answer_codes, certify_system,
-                        column_codes, count_systems, eigenvalue_bit,
+                        count_systems, eigenvalue_bit,
                         enumerate_systems, ghz_basis, minimality_certificate,
                         named_basis, permute_system, question_count_stats,
                         separates, standard_basis, standard_system,
@@ -209,7 +209,7 @@ class TestPermute:
 
     def test_rejects_a_diagonal_that_is_not_0_1(self):
         with pytest.raises(ValueError) as err:
-            column_codes(PropositionSystem(1, [np.diag([0.5, 0.5])]))
+            permute_system(PropositionSystem(1, [np.diag([0.5, 0.5])]), range(2))
         assert str(err.value) == "projector 1 diagonal is not 0/1"
 
     def test_rejects_non_diagonal(self):
@@ -292,30 +292,6 @@ class TestEnumerate:
         assert len(seen) == 40320
 
 
-class TestColumnCodes:
-    def test_standard_reads_down_from_n_minus_1(self):
-        codes = column_codes(standard_system(3))
-        assert codes[0].bits == (1, 1, 1) and codes[0].value == 7
-        assert codes[7].bits == (0, 0, 0) and codes[7].value == 0
-        assert [c.value for c in codes] == list(range(7, -1, -1))
-        assert [c.position for c in codes] == list(range(1, 9))
-
-    def test_permuted_triple_preimage(self):
-        diags = np.array([
-            [0, 1, 1, 0, 1, 0, 0, 1],
-            [0, 1, 1, 0, 0, 1, 1, 0],
-            [0, 1, 0, 1, 1, 0, 1, 0],
-        ])
-        codes = column_codes(system_from_diagonals(diags))
-        assert codes[1].bits == (1, 1, 1)
-
-    def test_rejects_non_diagonal(self):
-        from statesieve import transformed_system
-        _, u = ghz_basis()
-        with pytest.raises(ValueError, match="diagonal"):
-            column_codes(transformed_system(u, standard_system(3)))
-
-
 class TestAnswerCodes:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.sampled_from(BASIS_KEYS), st.data())
@@ -328,6 +304,14 @@ class TestAnswerCodes:
             system = transformed_system(u, system)
         want = [[eigenvalue_bit(p, v) for p in system.projectors] for v in basis.vectors]
         assert answer_codes(system, basis).tolist() == want
+
+    def test_standard_reads_down_from_n_minus_1(self):
+        codes = answer_codes(standard_system(3), standard_basis(3))
+        assert codes.tolist() == [[int(b) for b in f"{v:03b}"] for v in range(7, -1, -1)]
+
+    def test_permuted_triple_preimage(self):
+        system = system_from_diagonals(np.array(CERECEDA_PREIMAGE_DIAGONALS))
+        assert answer_codes(system, standard_basis(3))[1].tolist() == [1, 1, 1]
 
 
 class TestSeparates:
