@@ -3,9 +3,10 @@
 Each named basis comes as (Basis, NamedUnitary) where the unitary's columns
 are the basis vectors, i.e. |b_i> = U |e_i|.  The standard basis orders the
 product states |+..+> first, descending lexicographically to |-..->, with
-'+' mapping to the 0 bit.  Hard-coded matrices are stored as integer arrays
-over square-root denominators evaluated once, and every catalog unitary is
-certified unitary at construction.
+'+' mapping to the 0 bit.  A catalog unitary is an integer table divided by
+the square roots of its columns' sums of squares, certified at construction
+by `_certified`: "matrix for basis '<key>' failed unitarity certification
+within <tol>" is its one refusal.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from ._catalog import BASIS_KEYS
 from .linalg import (DEFAULT_TOL, as_matrix, conjugate, eigenvalue_bits, is_unitary, max_abs,
                      quotient_bits)
 from .systems import PropositionSystem, _check_n
-
-SQRT2 = math.sqrt(2.0)
-SQRT3 = math.sqrt(3.0)
-SQRT6 = math.sqrt(6.0)
 
 
 class Basis:
@@ -207,11 +204,16 @@ def standard_basis(n: int, force: bool = False) -> Basis:
 def basis_from_unitary(u: NamedUnitary, n: int,
                        tol: float = DEFAULT_TOL) -> Basis:
     """Basis whose k-th vector is column k of the (certified) unitary."""
-    if not is_unitary(u.matrix, tol):
-        raise ValueError(f"matrix for basis '{u.name}' is not unitary within {tol}")
-    vectors = u.matrix.T.copy()
+    vectors = _certified(u, tol).matrix.T.copy()
     labels = tuple(combo_label(v, n) or f"{u.name}_{k}" for k, v in enumerate(vectors, start=1))
     return Basis(vectors, labels)
+
+
+def _certified(u: NamedUnitary, tol: float) -> NamedUnitary:
+    """u, once its matrix is unitary within tol; the one refusal of a catalog unitary."""
+    if not is_unitary(u.matrix, tol):
+        raise ValueError(f"matrix for basis '{u.name}' failed unitarity certification within {tol}")
+    return u
 
 
 _GHZ_INT = np.array([
@@ -228,7 +230,7 @@ _GHZ_INT = np.array([
 
 def ghz_unitary() -> NamedUnitary:
     """The 8x8 unitary sending the standard basis to the GHZ basis."""
-    return NamedUnitary("ghz", _GHZ_INT / SQRT2)
+    return NamedUnitary("ghz", _GHZ_INT / np.sqrt(2))
 
 
 def ghz_basis(tol: float = DEFAULT_TOL) -> tuple[Basis, NamedUnitary]:
@@ -237,20 +239,23 @@ def ghz_basis(tol: float = DEFAULT_TOL) -> tuple[Basis, NamedUnitary]:
     return basis_from_unitary(u, 3, tol), u
 
 
+_W_INT = np.array([
+    [1,  0,  0,  0,  0,  0,  0,  0],
+    [0,  1, -1, -1,  0,  0,  0,  0],
+    [0,  1,  0,  2,  0,  0,  0,  0],
+    [0,  1,  1, -1,  0,  0,  0,  0],
+    [0,  0,  0,  0,  1, -1, -1,  0],
+    [0,  0,  0,  0,  1,  0,  2,  0],
+    [0,  0,  0,  0,  1,  1, -1,  0],
+    [0,  0,  0,  0,  0,  0,  0,  1],
+])
+
+
 def w_unitary() -> NamedUnitary:
-    """Unitary whose columns carry the W state and its orthonormal companions."""
-    s3, s2, s6 = 1.0 / SQRT3, 1.0 / SQRT2, 1.0 / SQRT6
-    m = np.array([
-        [1,  0,    0,   0,       0,   0,   0,      0],
-        [0,  s3,  -s2, -s6,      0,   0,   0,      0],
-        [0,  s3,   0,   2 * s6,  0,   0,   0,      0],
-        [0,  s3,   s2, -s6,      0,   0,   0,      0],
-        [0,  0,    0,   0,       s3, -s2, -s6,     0],
-        [0,  0,    0,   0,       s3,  0,   2 * s6, 0],
-        [0,  0,    0,   0,       s3,  s2, -s6,     0],
-        [0,  0,    0,   0,       0,   0,   0,      1],
-    ])
-    return NamedUnitary("w", m)
+    """Block-diagonal: fixes |+++> and |--->; on positions 2-4 (|++->, |+-+>, |+-->) and
+    on 5-7 (|-++>, |-+->, |--+>) its columns are (1, 1, 1)/√3, (-1, 0, 1)/√2 and
+    (-1, 2, -1)/√6.  So the single-flip W state (|++->+|+-+>+|-++>)/√3 is not one."""
+    return NamedUnitary("w", _W_INT / np.sqrt([1, 3, 2, 6, 3, 2, 6, 1]))
 
 
 def w_basis(tol: float = DEFAULT_TOL) -> tuple[Basis, NamedUnitary]:
@@ -272,10 +277,7 @@ _EQUAL_WEIGHT_INT = np.array([
 
 def equal_weight_unitary(tol: float = DEFAULT_TOL) -> NamedUnitary:
     """The all-(+/-1, +/-2)/(2√2) orthogonal matrix; certified at construction."""
-    m = _EQUAL_WEIGHT_INT / (2.0 * SQRT2)
-    if not is_unitary(m, tol):
-        raise ValueError("equal-weight matrix failed unitarity certification")
-    return NamedUnitary("equal_weight", m)
+    return _certified(NamedUnitary("equal_weight", _EQUAL_WEIGHT_INT / np.sqrt(8)), tol)
 
 
 def equal_weight_basis(tol: float = DEFAULT_TOL) -> tuple[Basis, NamedUnitary]:

@@ -253,8 +253,7 @@ def _cmd_simulate(args) -> tuple[Any, int]:
         payload: dict[str, Any] = jsonio.outcome_to_json(outcome)
         payload["state"] = basis.label(args.index)
         if args.sample:
-            counts = sample_detections(system, basis.vector(args.index), args.sample,
-                                       args.seed, args.tol)
+            counts = sample_detections(system, basis.vector(args.index), args.sample, args.seed)
     else:
         state = _read_json(args.state, jsonio.vector_from_json)
         if args.sample:  # one branch-weight tree for both

@@ -148,8 +148,7 @@ def measure_state(system: PropositionSystem, state,
     return MeasurementDistribution(tuple(_measured_weights(system, state, tol)[-1].tolist()))
 
 
-def sample_detections(system: PropositionSystem, state, trials: int,
-                      seed: int, tol: float = DEFAULT_TOL) -> list[int]:
+def sample_detections(system: PropositionSystem, state, trials: int, seed: int) -> list[int]:
     """Monte-Carlo detector counts from sequential projective measurement.
 
     Each trial walks the branch-weight tree: at step i the yes-branch fires

@@ -185,6 +185,38 @@ class TestNamedBasisLookup:
         basis, unitary = named_basis("standard", n=2)
         assert basis.dim == 4 and unitary is None
 
+    @pytest.mark.parametrize("key, table", [("ghz", "_GHZ_INT"), ("w", "_W_INT"),
+                                            ("equal_weight", "_EQUAL_WEIGHT_INT")])
+    def test_a_corrupted_table_is_refused_in_one_message(self, monkeypatch, key, table):
+        from statesieve import bases
+        broken = getattr(bases, table).copy()
+        broken[0, 0] = 2
+        monkeypatch.setattr(bases, table, broken)
+        with pytest.raises(ValueError, match=rf"^matrix for basis '{key}' failed unitarity "
+                                             rf"certification within 1e-10$"):
+            named_basis(key)
+
+    @pytest.mark.parametrize("key, table, norms", [
+        ("ghz", "_GHZ_INT", [2] * 8), ("w", "_W_INT", [1, 3, 2, 6, 3, 2, 6, 1]),
+        ("equal_weight", "_EQUAL_WEIGHT_INT", [8] * 8)])
+    def test_each_unitary_is_its_table_over_its_column_norms(self, key, table, norms):
+        from statesieve import bases
+        ints = getattr(bases, table)
+        assert ints.dtype.kind == "i" and (ints * ints).sum(axis=0).tolist() == norms
+        _, u = named_basis(key)
+        assert u.matrix.tobytes() == (ints / np.sqrt(norms)).astype(complex).tobytes()
+
+
+class TestBasisInputs:
+    @pytest.mark.parametrize("vectors, labels, message", [
+        (np.ones(4), ["a"] * 4, "basis vectors must form a 2-d array"),
+        (np.ones((2, 2, 2)), ["a"] * 2, "basis vectors must form a 2-d array"),
+        (np.eye(2), ["a"], "one label per basis vector required"),
+    ])
+    def test_refused(self, vectors, labels, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            Basis(vectors, labels)
+
 
 class TestTransformedSystem:
     def test_identity_is_a_no_op(self):
@@ -261,6 +293,15 @@ class TestLabels:
         v = rng.standard_normal(8)
         v /= np.linalg.norm(v)
         assert combo_label(v, 3) == ""
+
+    @pytest.mark.parametrize("vec, n, label", [
+        (np.full(4, 0.5), 2, "(|++>+|+->+|-+>+|-->)/2"),  # a square sum of squares
+        (np.array([1j, 0]), 1, ""),  # a complex amplitude
+        (np.zeros(4), 2, ""),  # no nonzero amplitude
+        (np.array([1.0, 1.0]), 1, ""),  # integer ratios, but not unit norm
+    ], ids=["square-factor", "complex", "zero", "unnormalized"])
+    def test_combo_edge_cases(self, vec, n, label):
+        assert combo_label(vec, n) == label
 
     def test_every_catalog_label_is_nonempty(self):
         for key in ("ghz", "w", "equal_weight"):

@@ -199,6 +199,13 @@ class TestVerify:
     def test_zero_tol_certifies_an_exact_system(self, capsys):
         assert run_json(capsys, "verify", "--n", "2", "--tol", "0")["certified"]
 
+    @pytest.mark.parametrize("basis", ["ghz", "w", "equal_weight"])
+    def test_zero_tol_refuses_every_catalog_unitary_in_one_message(self, capsys, basis):
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "--basis", basis, "--tol", "0")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": {"type": "ValueError", "message": (
+            f"matrix for basis '{basis}' failed unitarity certification within 0.0")}}
+
     def test_n_16_under_force_needs_no_dense_identity(self, capsys):
         payload = run_json(capsys, "verify", "--n", "16", "--force")
         assert payload["certified"] and payload["separates"] and payload["failures"] == []

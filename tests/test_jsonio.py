@@ -40,6 +40,12 @@ class TestMatrixFormat:
         wired = jsonio.matrix_from_json(json.loads(json.dumps(jsonio.matrix_to_json(m))))
         assert wired.tobytes() == m.tobytes()
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_encoder_rejects_a_non_2d_array(self, shape):
+        with pytest.raises(ValueError) as err:
+            jsonio.matrix_to_json(np.zeros(shape))
+        assert str(err.value) == f"expected a 2-d matrix, got shape {shape}"
+
     def test_rejects_wrong_entry_count(self):
         with pytest.raises(ValueError, match="entries"):
             jsonio.matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})

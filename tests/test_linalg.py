@@ -167,6 +167,14 @@ class TestGramSchmidt:
             gram_schmidt([v1, v2, v1 + v2])
         assert err.value.index == 2
 
+    def test_empty_input_gives_empty_output(self):
+        assert gram_schmidt([]) == []
+
+    def test_matrix_input_rejected(self):
+        with pytest.raises(ValueError) as err:
+            gram_schmidt([np.eye(2)])
+        assert str(err.value) == "expected a 1-d vector, got shape (2, 2)"
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             gram_schmidt([np.ones(2), np.ones(3)])
