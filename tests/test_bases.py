@@ -295,10 +295,10 @@ class TestLabels:
         assert combo_label(v, 3) == ""
 
     @pytest.mark.parametrize("vec, n, label", [
-        (np.full(4, 0.5), 2, "(|++>+|+->+|-+>+|-->)/2"),  # a square sum of squares
-        (np.array([1j, 0]), 1, ""),  # a complex amplitude
-        (np.zeros(4), 2, ""),  # no nonzero amplitude
-        (np.array([1.0, 1.0]), 1, ""),  # integer ratios, but not unit norm
+        (np.full(4, 0.5), 2, "(|++>+|+->+|-+>+|-->)/2"),
+        (np.array([1j, 0]), 1, ""),
+        (np.zeros(4), 2, ""),
+        (np.array([1.0, 1.0]), 1, ""),
     ], ids=["square-factor", "complex", "zero", "unnormalized"])
     def test_combo_edge_cases(self, vec, n, label):
         assert combo_label(vec, n) == label
