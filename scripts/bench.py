@@ -15,7 +15,9 @@ dense-size guard, `simulate --n 16 --force --index 777`, which prints one of
 65536 labels, `question_count_stats` at n = 3 with 50000 trials (the
 slowest `stats` command of the cascade_sample workload), `sample_detections`
 of a random n = 3 state with 5 trials, where the fixed cost of seeding a call
-shows, the n = 10 sigma-product proposition of `xyyxyyxyyx`, and two CLI
+shows, the n = 10 sigma-product proposition of `xyyxyyxyyx`,
+`transformed_system` of the n = 8 standard system by a seeded random
+256 x 256 unitary, its dense projectors built by the warm-up run, and two CLI
 cases: `--help`, the start-up alone that the benchmark's setup_s times, and
 `verify --n 3`, a real command from start to exit.  CLI cases run the
 matching commands as `python -m statesieve ...`, start-up included.  Each
@@ -58,7 +60,7 @@ import numpy as np  # noqa: E402
 import run as harness  # noqa: E402  (benchmarks/run.py)
 from statesieve import (answer_codes, measure_state, question_count_stats,  # noqa: E402
                         route_basis_state, sample_detections, sigma_product_proposition,
-                        standard_basis, standard_system)
+                        standard_basis, standard_system, transformed_system)
 from statesieve.cli import main as cli_main  # noqa: E402
 
 STATS_TRIALS = 2000
@@ -71,6 +73,7 @@ FORCE_INDEX = 777
 LONG_STATS_TRIALS = 50000
 SHORT_SAMPLE_TRIALS = 5
 PAULI_AXES = "xyyxyyxyyx"  # the permuted triple's pattern at n = 10
+TRANSFORM_N = 8
 EMIT = "partitions,meet,codes"  # what certify_dense's transform commands print
 
 
@@ -82,6 +85,12 @@ def _random_state(n: int) -> np.ndarray:
     rng = np.random.default_rng(n)
     v = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     return v / np.linalg.norm(v)
+
+
+def _random_unitary(n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
+    return np.linalg.qr(z)[0]
 
 
 def _cli_stdout(argv: list[str]) -> bytes:
@@ -214,6 +223,9 @@ def main(argv=None) -> int:
                                                   SEED)).encode())
     run_case("layer", f"sigma_product_proposition {PAULI_AXES}", len(PAULI_AXES),
              lambda: sigma_product_proposition(PAULI_AXES).tobytes())
+    dense, u = standard_system(TRANSFORM_N), _random_unitary(TRANSFORM_N)
+    run_case("layer", "transformed_system random unitary", TRANSFORM_N,
+             lambda: b"".join(p.tobytes() for p in transformed_system(u, dense).projectors))
     run_case("cli", "--help", None, lambda: _subprocess_stdout(["--help"]))
     run_case("cli", "verify --n 3", 3, lambda: _subprocess_stdout(["verify", "--n", "3"]))
 

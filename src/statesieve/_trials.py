@@ -24,8 +24,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924, 4865540595714422341)
 _POOL_WORDS = 4
 _M32 = 0xFFFFFFFF
-# seeds whose PCG64 states are computed at once: bounds the kernel's memory
-_TRIAL_CHUNK = 1024
+# seeds whose PCG64 states are computed at once: holds a stats call's traced peak near 0.5 MB
+_TRIAL_CHUNK = 2048
 # the largest N whose question counts are drawn in lanes: a batch takes about N rounds
 # however few trials it holds, so past N = 64 numpy's own shuffle is faster per trial
 LANE_STATS_MAX_DIM = 64

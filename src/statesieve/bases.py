@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._catalog import BASIS_KEYS
-from .linalg import (DEFAULT_TOL, as_matrix, conjugate, eigenvalue_bits, is_unitary, max_abs,
+from .linalg import (DEFAULT_TOL, as_matrix, dagger, eigenvalue_bits, is_unitary, max_abs,
                      quotient_bits)
 from .systems import PropositionSystem, _check_n
 
@@ -301,10 +301,10 @@ def named_basis(key: str, n: int = 3, tol: float = DEFAULT_TOL,
 
 def transformed_system(u: NamedUnitary | np.ndarray, system: PropositionSystem,
                        tol: float = DEFAULT_TOL) -> PropositionSystem:
-    """Conjugate every projector of a system into the basis defined by u."""
+    """Each projector P of a system as U P U^dag, linalg.conjugate's product; u certified once."""
     mat = u.matrix if isinstance(u, NamedUnitary) else as_matrix(u)
     if mat.shape[0] != system.dim:
-        raise ValueError(
-            f"dimension mismatch: unitary {mat.shape[0]}, system {system.dim}")
-    return PropositionSystem(
-        system.n, tuple(conjugate(mat, p, tol) for p in system.projectors))
+        raise ValueError(f"dimension mismatch: unitary {mat.shape[0]}, system {system.dim}")
+    if not is_unitary(mat, tol):
+        raise ValueError("matrix u is not unitary within tolerance")
+    return PropositionSystem(system.n, tuple(mat @ p @ dagger(mat) for p in system.projectors))

@@ -285,7 +285,7 @@ def _cmd_pauli(args) -> tuple[Any, int]:
         payload = {**jsonio.system_to_json(system), "axes": list(CERECEDA_AXES),
                    "certified": not failures}
         return payload, EXIT_OK if not failures else EXIT_PROPERTY_VIOLATION
-    if not args.axes:
+    if args.axes is None:
         raise ValueError("pauli needs --axes or --cereceda")
     axes = normalize_axes(args.axes)
     _check_dense(len(axes))

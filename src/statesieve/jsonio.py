@@ -68,7 +68,7 @@ def matrix_from_json(obj: Any) -> np.ndarray:
     except ValueError:  # ragged entries
         pairs = None
     if (pairs is None or pairs.shape != (rows * cols, 2) or pairs.dtype.kind not in "iuf"
-            or not np.isfinite(pairs).all()):
+            or not np.isfinite(pairs).all() or bool in {type(x) for pair in data for x in pair}):
         raise ValueError("matrix field 'data' must hold [re, im] pairs of finite numbers")
     # viewing float pairs as complex keeps every bit, signed zeros included
     return pairs.astype(float).view(complex).reshape(rows, cols)

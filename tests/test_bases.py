@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from statesieve import (Basis, ResourceLimitError, certify_system, equal_weight_basis,
-                        ghz_basis, gram_schmidt, is_projector, is_unitary, named_basis,
-                        route_basis_state, separates, standard_basis,
-                        standard_system, systems, transformed_system, w_basis)
+from statesieve import (Basis, PropositionSystem, ResourceLimitError, certify_system,
+                        conjugate, equal_weight_basis, ghz_basis, gram_schmidt, is_projector,
+                        is_unitary, named_basis, permute_system, route_basis_state, separates,
+                        standard_basis, standard_system, systems, transformed_system, w_basis)
 from statesieve.bases import combo_label, ket_label
+
+from conftest import haar_unitary
 
 S2 = 1.0 / math.sqrt(2.0)
 S3 = 1.0 / math.sqrt(3.0)
@@ -275,6 +277,18 @@ class TestTransformedSystem:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             transformed_system(np.diag([1.0, 2.0, 1.0, 1.0]), standard_system(2))
+
+    def test_non_unitary_rejected_without_projectors(self):
+        with pytest.raises(ValueError, match=r"^matrix u is not unitary within tolerance$"):
+            transformed_system(np.diag([1.0, 2.0, 1.0, 1.0]), PropositionSystem(2, ()))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_projector_is_conjugates_bytes(self, n, seed):
+        system = permute_system(standard_system(n), np.random.default_rng(seed).permutation(2 ** n))
+        u = haar_unitary(seed, 2 ** n)
+        got = transformed_system(u, system).projectors
+        assert [p.tobytes() for p in got] == [conjugate(u, p).tobytes() for p in system.projectors]
 
 
 class TestLabels:

@@ -19,7 +19,7 @@ def test_bench_script_at_n_2(tmp_path):
     assert {"nproc", "cpu_model"} <= record["machine"].keys()
     assert {"python", "numpy"} <= record["software"].keys()
     cases = {(c["kind"], c["name"]): c for c in record["cases"]}
-    assert len(cases) == len(record["cases"]) == 23
+    assert len(cases) == len(record["cases"]) == 24
     assert all(c["best_ms"] > 0 and len(c["sha256"]) == 64 for c in cases.values())
     assert all(("peak_mb" in c) == (c["kind"] == "layer") for c in cases.values())
     # a cli case's child CPU time (user + sys) comes from getrusage(RUSAGE_CHILDREN)
@@ -33,6 +33,7 @@ def test_bench_script_at_n_2(tmp_path):
     assert cases["layer", "question_count_stats 50000 trials"]["n"] == 3
     assert cases["layer", "sample_detections 5 trials"]["n"] == 3
     assert cases["layer", "sigma_product_proposition xyyxyyxyyx"]["n"] == 10
+    assert cases["layer", "transformed_system random unitary"]["n"] == 8
     assert cases["cli", "--help"]["n"] is None
     assert cases["cli", "verify --n 3"]["n"] == 3
     assert cases["layer", "cli.main partition"]["n"] == 2

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from statesieve import (DetectorOutcome, bases, cli, ghz_basis, jsonio, sieve, standard_system,
-                        systems, transformed_system)
+from statesieve import (DetectorOutcome, bases, cli, ghz_basis, jsonio, linalg, sieve,
+                        standard_system, systems, transformed_system)
 from statesieve.cli import main
 
 from test_systems import UNEVEN_N2, UNEVEN_N2_FAILURES
@@ -145,6 +145,32 @@ class TestVerify:
         assert json.loads(err)["error"] == {
             "type": "ValueError", "message": f"verify --file takes no {flag}: it verifies "
                                              "the file's system as stored, in the standard basis"}
+
+    def test_a_boolean_in_a_pair_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"n": 1, "projectors": [{"rows": 2, "cols": 2, "data": '
+                        '[[true, 0], [0, 0], [0, 0], [0, 0]]}]}')
+        code, out, err = run_cli(capsys, "verify", "--file", str(path))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "system field 'projectors' entry 1: matrix field "
+                                             "'data' must hold [re, im] pairs of finite numbers"}
+
+    # ghz and w are certified by basis_from_unitary and transformed_system;
+    # equal_weight_unitary certifies its matrix at construction as well
+    @pytest.mark.parametrize("basis, checks", [("ghz", 2), ("w", 2), ("equal_weight", 3)])
+    def test_a_catalog_unitary_is_certified_once_per_use(self, capsys, monkeypatch,
+                                                          basis, checks):
+        real, calls = linalg.is_unitary, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("statesieve") and getattr(module, "is_unitary", None) is real:
+                monkeypatch.setattr(module, "is_unitary", counted)
+        payload = run_json(capsys, "verify", "--n", "3", "--basis", basis)
+        assert payload["certified"] and len(calls) == checks
 
     def test_tol_flag_beats_environment(self, capsys, tmp_path, monkeypatch):
         slightly_off = np.diag([1.0 + 1e-6, 0.0]).astype(complex)
@@ -446,6 +472,15 @@ class TestSimulate:
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    def test_a_boolean_amplitude_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"rows": 2, "cols": 1, "data": [[true, 0], [0, 0]]}')
+        code, out, err = run_cli(capsys, "simulate", "--n", "1", "--state", str(path))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": "matrix field 'data' must hold [re, im] pairs of finite numbers"}
+
     def test_non_json_state_names_its_path(self, capsys, tmp_path):
         path = tmp_path / "state.txt"
         path.write_text("not json")
@@ -565,6 +600,12 @@ class TestPauli:
     def test_needs_axes_or_triple(self, capsys):
         code, _, _ = run_cli(capsys, "pauli")
         assert code == 3
+
+    def test_empty_axes_are_refused_as_empty(self, capsys):
+        code, out, err = run_cli(capsys, "pauli", "--axes", "")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "axis assignment must not be empty"}
 
     def test_axes_and_triple_are_alternatives(self, capsys):
         with pytest.raises(SystemExit) as exc:

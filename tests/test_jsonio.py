@@ -61,6 +61,8 @@ class TestMatrixFormat:
         ({"rows": 1, "cols": 2, "data": [[1, 0], ["1", 0]]}, "'data'"),
         ({"rows": 1, "cols": 1, "data": [[float("nan"), 0]]}, "'data'"),
         ({"rows": 1, "cols": 1, "data": [[10 ** 400, 0]]}, "'data'"),
+        ({"rows": 1, "cols": 1, "data": [[True, 0]]}, "'data'"),
+        ({"rows": 1, "cols": 1, "data": [[0.5, False]]}, "'data'"),
     ])
     def test_rejects_malformed_fields_by_name(self, obj, field):
         with pytest.raises(ValueError, match=field):

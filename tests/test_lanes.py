@@ -32,8 +32,10 @@ def lane_outputs(seed, trials, draws):
 class TestOutputs:
     @settings(max_examples=30, deadline=None)
     @given(base=st.sampled_from(WORD_BOUNDARIES), offset=st.integers(-3000, 3000),
-           trials=st.sampled_from([1, 1024, 1025, 2100]), draws=st.integers(1, 5))
+           trials=st.sampled_from([1, 1024, 1025, 2047, 2048, 2049, 2100]),
+           draws=st.integers(1, 5))
     @example(base=2 ** 32, offset=-1000, trials=2100, draws=3)
+    @example(base=0, offset=3, trials=2049, draws=2)
     @example(base=2 ** 128, offset=-1, trials=1025, draws=2)
     def test_every_output_is_default_rngs(self, base, offset, trials, draws):
         seed = max(0, base + offset)
@@ -53,8 +55,8 @@ class TestLaneStats:
     @pytest.mark.parametrize("seed", CHUNK_CROSSING_SEEDS)
     @pytest.mark.parametrize("infer_last", [False, True])
     def test_at_and_past_the_crossover(self, n, seed, infer_last):
-        naive = question_count_stats(n, 1100, seed, infer_last=infer_last).naive
-        assert (naive.mean, naive.max) == reference_stats(n, 1100, seed, infer_last)
+        naive = question_count_stats(n, 2100, seed, infer_last=infer_last).naive
+        assert (naive.mean, naive.max) == reference_stats(n, 2100, seed, infer_last)
 
     def test_the_crossover_picks_the_loop(self, monkeypatch):
         calls = []

@@ -23,8 +23,9 @@ def default_rng_states(seed, trials):
 class TestStates:
     @settings(max_examples=40, deadline=None)
     @given(base=st.sampled_from(WORD_BOUNDARIES), offset=st.integers(-3000, 3000),
-           trials=st.sampled_from([1, 1023, 1024, 1025, 3000]))
+           trials=st.sampled_from([1, 1023, 1024, 1025, 2047, 2048, 2049, 3000]))
     @example(base=2 ** 32, offset=-1000, trials=3000)
+    @example(base=0, offset=3, trials=2049)
     @example(base=2 ** 128, offset=-1, trials=1025)
     @example(base=2 ** 160, offset=-1024, trials=1025)
     def test_every_state_is_default_rngs(self, base, offset, trials):
