@@ -9,6 +9,7 @@ decoder: a system (`verify --file`) and a vector (`simulate --state`).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -49,13 +50,6 @@ def _int_field(obj: Any, name: str, what: str, high: int | None = None) -> int:
     return value
 
 
-def _list_field(obj: Any, name: str, what: str) -> list:
-    value = _field(obj, name, what)
-    if not isinstance(value, list):
-        raise ValueError(f"{what} field {name!r} must be a list, got {type(value).__name__}")
-    return value
-
-
 def matrix_from_json(obj: Any) -> np.ndarray:
     """Decode a matrix, raising ValueError that names a missing or malformed field."""
     rows, cols = _int_field(obj, "rows", "matrix"), _int_field(obj, "cols", "matrix")
@@ -63,15 +57,16 @@ def matrix_from_json(obj: Any) -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         got = len(data) if isinstance(data, list) else type(data).__name__
         raise ValueError(f"matrix field 'data': expected a list of {rows * cols} entries, got {got}")
-    try:
-        pairs = np.array(data)
-    except ValueError:  # ragged entries
-        pairs = None
-    if (pairs is None or pairs.shape != (rows * cols, 2) or pairs.dtype.kind not in "iuf"
-            or not np.isfinite(pairs).all() or bool in {type(x) for pair in data for x in pair}):
-        raise ValueError("matrix field 'data' must hold [re, im] pairs of finite numbers")
-    # viewing float pairs as complex keeps every bit, signed zeros included
-    return pairs.astype(float).view(complex).reshape(rows, cols)
+    # the JSON types decide: each entry is a list of two floats or integers in -2**63..2**64 - 1
+    if set(map(type, data)) == {list} and set(map(len, data)) == {2}:
+        values = list(chain.from_iterable(data))
+        kinds = set(map(type, values))  # json reads true and false as bool, not as numbers
+        ints = [x for x in values if type(x) is int] if int in kinds else []
+        if kinds <= {int, float} and all(-2 ** 63 <= x < 2 ** 64 for x in ints):
+            pairs = np.array(values, dtype=float)
+            if np.isfinite(pairs).all():  # as complex, float pairs keep every bit
+                return pairs.view(complex).reshape(rows, cols)
+    raise ValueError("matrix field 'data' must hold [re, im] pairs of finite numbers")
 
 
 def vector_to_json(v) -> dict[str, Any]:
@@ -94,7 +89,9 @@ def system_from_json(obj: Any) -> PropositionSystem:
     """Decode a dense system, raising ValueError that names a missing or malformed field."""
     from .systems import INDEX_MAX_N, PropositionSystem
     n = _int_field(obj, "n", "system", high=INDEX_MAX_N)
-    raw = _list_field(obj, "projectors", "system")
+    raw = _field(obj, "projectors", "system")
+    if not isinstance(raw, list):
+        raise ValueError(f"system field 'projectors' must be a list, got {type(raw).__name__}")
     projs = []
     for i, p in enumerate(raw, start=1):
         try:

@@ -157,7 +157,7 @@ def quotient_bits(q: np.ndarray, tol: float = DEFAULT_TOL,
                  if index is not None]
         where = f" ({', '.join(names)})" if names else ""
         raise EigenbasisError(
-            f"vector is not a 0/1 eigenvector: Rayleigh quotient {q[k]:.6g}{where}",
+            f"vector is not a 0/1 eigenvector: Rayleigh quotient {q[k]:.17g}{where}",
             projector_index=projector_index, vector_index=vector_index)
     return ones.astype(int)
 

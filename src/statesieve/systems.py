@@ -220,7 +220,7 @@ def _certification_failures(system: PropositionSystem, tol: float,
             failures.append(f"projector {i} is not a projector within {tol}")
         trace = complex(np.sum(p) if p.ndim == 1 else np.trace(p))
         if abs(trace - half) > tol:
-            failures.append(f"projector {i} has trace {trace:.6g}, expected {half}")
+            failures.append(f"projector {i} has trace {trace:.17g}, expected {half}")
     failures.extend(f"projectors {i} and {j} do not commute (norm {c:.3e})"
                     for i, j, c in noncommuting)
     return failures

@@ -35,7 +35,7 @@ def reference_quotient_bits(q, tol=1e-10, projector_index=None, first_vector_ind
                  if index is not None]
         where = f" ({', '.join(names)})" if names else ""
         raise EigenbasisError(
-            f"vector is not a 0/1 eigenvector: Rayleigh quotient {q[k]:.6g}{where}",
+            f"vector is not a 0/1 eigenvector: Rayleigh quotient {q[k]:.17g}{where}",
             projector_index=projector_index, vector_index=vector_index)
     return ones.astype(int)
 

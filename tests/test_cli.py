@@ -124,7 +124,7 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["failures"] == [
             "requirement checks aborted: vector is not a 0/1 eigenvector: "
-            "Rayleigh quotient 0.5 (projector 3, vector 1)"]
+            "Rayleigh quotient 0.49999999999999989 (projector 3, vector 1)"]
 
     def test_file_past_the_guard_needs_force(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
@@ -150,6 +150,17 @@ class TestVerify:
         path = tmp_path / "bool.json"
         path.write_text('{"n": 1, "projectors": [{"rows": 2, "cols": 2, "data": '
                         '[[true, 0], [0, 0], [0, 0], [0, 0]]}]}')
+        code, out, err = run_cli(capsys, "verify", "--file", str(path))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "system field 'projectors' entry 1: matrix field "
+                                             "'data' must hold [re, im] pairs of finite numbers"}
+
+    @pytest.mark.parametrize("entry", ["[null, 0]", "[0, 0, 0]"], ids=["null", "three"])
+    def test_a_null_or_a_three_element_pair_is_refused(self, capsys, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 1, "projectors": [{"rows": 2, "cols": 2, "data": '
+                        f'[{entry}, [0, 0], [0, 0], [0, 0]]}}]}}')
         code, out, err = run_cli(capsys, "verify", "--file", str(path))
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == {
@@ -475,6 +486,16 @@ class TestSimulate:
     def test_a_boolean_amplitude_is_refused(self, capsys, tmp_path):
         path = tmp_path / "bool.json"
         path.write_text('{"rows": 2, "cols": 1, "data": [[true, 0], [0, 0]]}')
+        code, out, err = run_cli(capsys, "simulate", "--n", "1", "--state", str(path))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": "matrix field 'data' must hold [re, im] pairs of finite numbers"}
+
+    @pytest.mark.parametrize("entry", ["[null, 0]", "[0, 0, 0]"], ids=["null", "three"])
+    def test_a_null_or_a_three_element_amplitude_is_refused(self, capsys, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"rows": 2, "cols": 1, "data": [{entry}, [0, 0]]}}')
         code, out, err = run_cli(capsys, "simulate", "--n", "1", "--state", str(path))
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == {

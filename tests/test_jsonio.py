@@ -11,6 +11,9 @@ from statesieve import jsonio
 from conftest import square_complex
 
 
+MUST_HOLD = "'data' must hold"
+
+
 class TestMatrixFormat:
     def test_layout(self):
         m = np.array([[1, 2j], [3, -4]], dtype=complex)
@@ -63,10 +66,83 @@ class TestMatrixFormat:
         ({"rows": 1, "cols": 1, "data": [[10 ** 400, 0]]}, "'data'"),
         ({"rows": 1, "cols": 1, "data": [[True, 0]]}, "'data'"),
         ({"rows": 1, "cols": 1, "data": [[0.5, False]]}, "'data'"),
+        ({"rows": 1, "cols": 1, "data": [["1", 0]]}, MUST_HOLD),
+        ({"rows": 1, "cols": 1, "data": [[None, 0]]}, MUST_HOLD),
+        ({"rows": 1, "cols": 1, "data": [[[1], 0]]}, MUST_HOLD),
+        ({"rows": 1, "cols": 1, "data": [[1, 2, 3]]}, MUST_HOLD),
+        ({"rows": 1, "cols": 1, "data": [[1]]}, MUST_HOLD),
+        ({"rows": 1, "cols": 1, "data": [{"a": 1, "b": 2}]}, MUST_HOLD),  # len 2, no list
+        ({"rows": 1, "cols": 1, "data": ["ab"]}, MUST_HOLD),  # len 2, no list
+        ({"rows": 1, "cols": 2, "data": [[1, 2, 3], [4]]}, MUST_HOLD),  # 4 values, ragged
+        ({"rows": 1, "cols": 1, "data": [[2 ** 64, 0]]}, MUST_HOLD),
+        ({"rows": 1, "cols": 1, "data": [[10 ** 30, 0.5]]}, MUST_HOLD),
+        ({"rows": 1, "cols": 1, "data": [[-2 ** 63 - 1, 0]]}, MUST_HOLD),
+        ({"rows": 1, "cols": 1, "data": [[float("inf"), 0]]}, MUST_HOLD),
+        ({"rows": 1, "cols": 1, "data": [[0, float("-inf")]]}, MUST_HOLD),
+        ({"rows": 1, "cols": 1, "data": [[0.5, float("nan")]]}, MUST_HOLD),
     ])
     def test_rejects_malformed_fields_by_name(self, obj, field):
         with pytest.raises(ValueError, match=field):
             jsonio.matrix_from_json(obj)
+
+    def test_integers_decode_from_minus_two_to_the_63_to_two_to_the_64_less_one(self):
+        data = [[-2 ** 63, 2 ** 64 - 1], [2 ** 63 + 5, -1], [0, -0.0]]
+        got = jsonio.matrix_from_json({"rows": 3, "cols": 1, "data": data})
+        assert got.tobytes() == np.array([float(x) for pair in data for x in pair]).tobytes()
+
+
+def reference_matrix_from_json(obj):
+    """The decoder that let numpy's inference decide: np.array(data) had to give a
+    (rows * cols, 2) array of integer or float kind, and a separate scan refused booleans."""
+    rows, cols = (jsonio._int_field(obj, "rows", "matrix"),
+                  jsonio._int_field(obj, "cols", "matrix"))
+    data = jsonio._field(obj, "data", "matrix")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        got = len(data) if isinstance(data, list) else type(data).__name__
+        raise ValueError(f"matrix field 'data': expected a list of {rows * cols} entries, got {got}")
+    try:
+        pairs = np.array(data)
+    except ValueError:  # ragged entries
+        pairs = None
+    if (pairs is None or pairs.shape != (rows * cols, 2) or pairs.dtype.kind not in "iuf"
+            or not np.isfinite(pairs).all() or bool in {type(x) for pair in data for x in pair}):
+        raise ValueError("matrix field 'data' must hold [re, im] pairs of finite numbers")
+    return pairs.astype(float).view(complex).reshape(rows, cols)
+
+
+def decoded(decode, obj):
+    """What a decoder gives: the shape and bytes of its matrix, or its error."""
+    try:
+        m = decode(obj)
+    except Exception as e:  # the type of any exception must match too
+        return type(e).__name__, str(e)
+    return m.shape, m.dtype.str, m.tobytes()
+
+
+EDGE_NUMBERS = [-0.0, -1, 2 ** 63 + 5, 2 ** 63 - 1, -2 ** 63, -2 ** 63 - 1, 2 ** 64 - 1,
+                2 ** 64, 10 ** 30, 10 ** 400, 1e308, 5e-324]
+json_numbers = (st.sampled_from(EDGE_NUMBERS) | st.integers(-3, 3) | st.integers()
+                | st.floats())
+json_scalars = json_numbers | st.booleans() | st.none() | st.text(max_size=2)
+json_values = json_scalars | st.lists(json_scalars, max_size=3)
+number_pairs = st.lists(json_numbers, min_size=2, max_size=2)
+entries = (number_pairs | st.lists(json_values, max_size=3) | json_values
+           | st.dictionaries(st.text(max_size=1), json_scalars, max_size=2))
+
+
+@st.composite
+def matrix_documents(draw):
+    """Matrices of pairs of numbers, which mostly decode, or of any entries."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    return {"rows": rows, "cols": cols,
+            "data": draw(st.lists(number_pairs, min_size=rows * cols, max_size=rows * cols)
+                         | st.lists(entries, min_size=rows * cols, max_size=rows * cols))}
+
+
+@given(matrix_documents())
+@settings(max_examples=500, deadline=None)
+def test_the_type_rule_refuses_and_decodes_as_numpys_inference_did(obj):
+    assert decoded(jsonio.matrix_from_json, obj) == decoded(reference_matrix_from_json, obj)
 
 
 class TestVectorFormat:

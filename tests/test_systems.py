@@ -181,7 +181,7 @@ class TestVerifySystem:
         failures, report, separating = verify_system(standard_system(3), ghz_basis()[0])
         assert report is None and not separating
         assert failures == ["requirement checks aborted: vector is not a 0/1 eigenvector: "
-                            "Rayleigh quotient 0.5 (projector 1, vector 1)"]
+                            "Rayleigh quotient 0.49999999999999989 (projector 1, vector 1)"]
 
 
 class TestPermute:

@@ -301,4 +301,5 @@ class TestDoneOnce:
         with pytest.raises(EigenbasisError) as got:
             answer_codes(system, basis)
         assert str(got.value) == str(reference.value) == (
-            "vector is not a 0/1 eigenvector: Rayleigh quotient 0.5 (projector 1, vector 1)")
+            "vector is not a 0/1 eigenvector: "
+            "Rayleigh quotient 0.49999999999999989 (projector 1, vector 1)")
