@@ -1,3 +1,3 @@
-from .cli import run
+from ._front import run
 
 run()

@@ -1,12 +1,13 @@
 """Every exit route of a fresh `python -m statesieve` process.
 
-A process ends through `cli.run`: it flushes stdout and stderr and calls
-os._exit, skipping the interpreter's teardown.  These tests run each route
-with PYTHONUNBUFFERED removed, where a missing flush would lose bytes, and set
-to 1, where a write to a closed stream fails at once, and check the exit code,
-the stderr text and stdout bytes against `cli.main` run in this process.  A
-write to a stream whose reader has gone ends with 141 in either mode; a route
-that writes nothing to the closed stream keeps its own code.
+A process ends through `run` (in `_front`, re-exported as `cli.run`): it
+flushes stdout and stderr and calls os._exit, skipping the interpreter's
+teardown.  These tests run each route with PYTHONUNBUFFERED removed, where a
+missing flush would lose bytes, and set to 1, where a write to a closed stream
+fails at once, and check the exit code, the stderr text and stdout bytes
+against `cli.main` run in this process.  A write to a stream whose reader has
+gone ends with 141 in either mode; a route that writes nothing to the closed
+stream keeps its own code.
 """
 
 import contextlib
@@ -37,6 +38,7 @@ ROUTES = {
     "enumerate": (["enumerate", "--n", "2"], cli.EXIT_OK),
 }
 ERROR_ROUTES = ("usage", "validation")  # these write to stderr, the others to stdout
+PARSED = ["verify"]  # argv that parses, so `run` hands it on to `cli._execute`
 MODES = ("buffered", "unbuffered")
 
 
@@ -192,23 +194,23 @@ def test_run_exits_with_the_code_main_returns(exit_code, capsys):
 
 @pytest.mark.parametrize("raised, code", [(SystemExit(None), 0), (SystemExit(2), 2)])
 def test_run_exits_with_the_code_of_a_system_exit(raised, code, exit_code, monkeypatch):
-    def main(argv=None):
+    def execute(args):
         raise raised
 
-    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(cli, "_execute", execute)
     with pytest.raises(ExitCalled):
-        cli.run([])
+        cli.run(PARSED)
     assert exit_code == [code]
 
 
 @pytest.mark.parametrize("raised", [RuntimeError("boom"), SystemExit("a message")])
 def test_run_lets_any_other_exception_through(raised, exit_code, monkeypatch):
-    def main(argv=None):
+    def execute(args):
         raise raised
 
-    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(cli, "_execute", execute)
     with pytest.raises(type(raised)):
-        cli.run([])
+        cli.run(PARSED)
     assert exit_code == []
 
 
@@ -230,26 +232,26 @@ def test_main_lets_a_broken_pipe_through(argv, monkeypatch):
 
 @pytest.mark.parametrize("where", ["main", "flush"])
 def test_run_ends_a_broken_pipe_with_141(where, exit_code, monkeypatch):
-    def main(argv=None):
+    def execute(args):
         if where == "main":
             raise BrokenPipeError(errno.EPIPE, "Broken pipe")
         return cli.EXIT_OK
 
-    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(cli, "_execute", execute)
     if where == "flush":
         monkeypatch.setattr(sys, "stdout", ClosedStream())
     with pytest.raises(ExitCalled):
-        cli.run([])
+        cli.run(PARSED)
     assert exit_code == [cli.EXIT_BROKEN_PIPE]
 
 
 def test_run_reads_another_failed_write_as_a_resource_error(exit_code, monkeypatch, capsys):
-    def main(argv=None):
+    def execute(args):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(cli, "_execute", execute)
     with pytest.raises(ExitCalled):
-        cli.run([])
+        cli.run(PARSED)
     assert exit_code == [cli.EXIT_VALIDATION]
     assert json.loads(capsys.readouterr().err) == {"error": {
         "type": "OSError", "message": "[Errno 28] No space left on device"}}

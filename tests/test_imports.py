@@ -2,6 +2,7 @@
 calls, and `import statesieve` resolves its exports on first access (PEP 562)."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 import statesieve
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # every name `import statesieve` bound when it imported all of its modules at once
 EAGER_EXPORTS = [
@@ -31,13 +33,13 @@ EAGER_EXPORTS = [
 ]
 
 
-def imported(*args: str) -> set[str]:
-    """The modules `python -X importtime <args>` imports, after checking it exits 0."""
+def imported(*args: str, code: int = 0) -> set[str]:
+    """The modules `python -X importtime <args>` imports, after checking its exit code."""
     env = {k: v for k, v in os.environ.items() if k != "SIEVE_TOL"}
     env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
                           capture_output=True, text=True, timeout=60, check=False)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.returncode == code, proc.stderr[-2000:]
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
 
@@ -46,7 +48,7 @@ def imported(*args: str) -> set[str]:
     (["-c", "import statesieve"],
      ["linalg", "systems", "bases", "partitions", "paulis", "sieve", "jsonio", "_trials"]),
     (["-m", "statesieve", "--help"],
-     ["systems", "bases", "partitions", "paulis", "sieve", "jsonio", "_trials"]),
+     ["linalg", "systems", "bases", "partitions", "paulis", "sieve", "jsonio", "_trials"]),
     (["-m", "statesieve", "verify", "--n", "3"], ["partitions", "paulis", "sieve", "_trials"]),
     (["-m", "statesieve", "stats", "--n", "3", "--trials", "10"],
      ["bases", "partitions", "paulis"]),
@@ -69,6 +71,25 @@ def test_a_command_loads_only_the_modules_it_calls(args, absent):
     assert modules.isdisjoint(f"statesieve.{name}" for name in absent)
     # the records are NamedTuples, and no command builds a Partition, the one dataclass
     assert "dataclasses" not in modules
+    if "--help" in args:  # it ends in statesieve._front, before cli and numpy load
+        assert "numpy" not in modules
+
+
+def console_script() -> list[str]:
+    """What the `statesieve` script that pip generates from pyproject.toml runs."""
+    text = (ROOT / "pyproject.toml").read_text()
+    module, func = re.search(r'^statesieve = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
+@pytest.mark.parametrize("args, code", [
+    (["-m", "statesieve", "verify", "--tol", "x"], 2),
+    ([*console_script(), "--help"], 0),
+], ids=["usage-error", "console-script-help"])
+def test_a_usage_error_and_the_console_script_help_load_no_numpy(args, code):
+    modules = imported(*args, code=code)
+    assert "statesieve._front" in modules
+    assert modules.isdisjoint({"numpy", "statesieve.cli", "statesieve.linalg"})
 
 
 @pytest.mark.parametrize("preset, seen", [(None, "20"), ("7", "7")])
