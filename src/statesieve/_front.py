@@ -1,6 +1,6 @@
-"""The `statesieve` entry point, `run`, and its argument parser, in a module that
-loads no numpy: `--help` and usage errors end here.  Only a command that parsed
-imports `cli`, which runs it.
+"""The `statesieve` entry point, `run`, its argument parser and its one JSON error
+line, in a module that loads no numpy: `--help` and usage errors end here, and so
+does a failed write of their text.  Only a command that parsed imports `cli`.
 
 Exit codes: 0 success, 1 a verified property failed, 2 usage errors,
 3 validation/resource errors, 141 stdout or stderr closed by its reader.
@@ -14,13 +14,20 @@ import os
 import sys
 from typing import NoReturn, Sequence
 
-from ._catalog import BASIS_KEYS
+from ._catalog import BASIS_KEYS, DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_PROPERTY_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: how a C tool ends when its reader goes away
+
+
+def _report(e: Exception) -> int:
+    """Print e as the one JSON error line on stderr; return the validation code."""
+    import json  # here, so that --help and usage errors load no json
+    print(json.dumps({"error": {"type": type(e).__name__, "message": str(e)}}), file=sys.stderr)
+    return EXIT_VALIDATION
 
 
 def _tolerance(text: str, source: str) -> float:
@@ -67,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--tol", type=_tol_arg, default=None,
-                        help="comparison tolerance (default 1e-10 or SIEVE_TOL)")
+                        help=f"comparison tolerance (default {DEFAULT_TOL:g} or SIEVE_TOL)")
     common.add_argument("--force", action="store_true",
                         help="override resource guards")
 
@@ -160,6 +167,5 @@ def run(argv: Sequence[str] | None = None) -> NoReturn:
     except BrokenPipeError:
         code = EXIT_BROKEN_PIPE
     except OSError as e:
-        from .cli import _report
         code = _report(e)
     os._exit(code)

@@ -26,8 +26,8 @@ _POOL_WORDS = 4
 _M32 = 0xFFFFFFFF
 # seeds whose PCG64 states are computed at once: holds a stats call's traced peak near 0.5 MB
 _TRIAL_CHUNK = 2048
-# the largest N whose question counts are drawn in lanes: a batch takes about N rounds
-# however few trials it holds, so past N = 64 numpy's own shuffle is faster per trial
+# the largest N drawn in lanes; a batch takes about N rounds however few trials it holds,
+# so numpy's loop is the faster from N = 512 at 10,000 trials, 256 at 1,000 and 32 at 100
 LANE_STATS_MAX_DIM = 64
 _LOW32, _S32 = np.uint64(_M32), np.uint64(32)
 _ROT_SHIFT, _ROT_MASK = np.uint64(58), np.uint64(63)
@@ -257,7 +257,7 @@ def lane_question_counts(n: int, trials: int, seed: int,
 def generator_question_counts(n: int, trials: int, seed: int,
                               infer_last: bool) -> tuple[int, int]:
     """lane_question_counts with numpy's own integers and permutation calls: the
-    faster loop past LANE_STATS_MAX_DIM, where numpy's C shuffle runs along N."""
+    loop past LANE_STATS_MAX_DIM, where numpy's C shuffle runs along N."""
     dim = 2 ** n
     total = worst = 0
     for rng in trial_generators(seed, trials):

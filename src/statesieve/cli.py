@@ -2,8 +2,8 @@
 simulate, stats, and pauli subcommands with JSON (default) or text output.
 
 `main` resolves the tolerance once for every command: --tol, else SIEVE_TOL,
-else DEFAULT_TOL.  `main(argv)` returns the exit code; the parser, the codes and
-the process entry point `run` live in the numpy-free `_front`, re-exported here.
+else DEFAULT_TOL.  `main(argv)` returns the exit code; the parser, the codes, the
+error line and the entry point `run` live in the numpy-free `_front`, re-exported here.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ._front import (EXIT_BROKEN_PIPE, EXIT_OK, EXIT_PROPERTY_VIOLATION,  # noqa: F401
-                     EXIT_USAGE, EXIT_VALIDATION, _tolerance, build_parser, run)
+                     EXIT_USAGE, EXIT_VALIDATION, _report, _tolerance, build_parser, run)
 
 # OpenBLAS's idle workers spin 2^28 cycles before they sleep; 2^20 is enough. A set value wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
-# linalg loads numpy, which benchmarks/run.py times inside `import statesieve.cli`
+# only so that `import statesieve.cli` loads numpy, which benchmarks/run.py times in it
 from .linalg import DEFAULT_TOL
 
 if TYPE_CHECKING:
@@ -117,12 +117,6 @@ def _render(args, payload: Any) -> str:
     if args.format == "text":
         return _render_text(payload)
     return json.dumps(payload, indent=2, allow_nan=False)
-
-
-def _report(e: Exception) -> int:
-    """Print e as the one JSON error line on stderr; return the validation code."""
-    print(json.dumps({"error": {"type": type(e).__name__, "message": str(e)}}), file=sys.stderr)
-    return EXIT_VALIDATION
 
 
 def _cmd_build(args) -> tuple[Any, int]:
@@ -293,5 +287,6 @@ def _execute(args) -> int:
     return code
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # so that `run` finds this module and does not load it again
+    sys.modules["statesieve.cli"] = sys.modules[__name__]
     run()

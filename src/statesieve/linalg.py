@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
+from ._catalog import DEFAULT_TOL
 
 
 class LinearDependenceError(ValueError):

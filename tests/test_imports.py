@@ -1,6 +1,7 @@
 """What a fresh process imports: each CLI command loads only the modules it
 calls, and `import statesieve` resolves its exports on first access (PEP 562)."""
 
+import json
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import statesieve
+from statesieve import _catalog, _front, cli, linalg
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -33,15 +35,30 @@ EAGER_EXPORTS = [
 ]
 
 
-def imported(*args: str, code: int = 0) -> set[str]:
-    """The modules `python -X importtime <args>` imports, after checking its exit code."""
+def fresh(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """`python <args>` in a fresh process, with text stderr."""
     env = {k: v for k, v in os.environ.items() if k != "SIEVE_TOL"}
     env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
-                          capture_output=True, text=True, timeout=60, check=False)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60, check=False)
+
+
+def import_lines(stderr: str) -> tuple[set[str], list[str]]:
+    """The modules named in `-X importtime` stderr, and its other lines."""
+    modules, rest = set(), []
+    for line in stderr.splitlines():
+        if line.startswith("import time:"):
+            modules.add(line.rsplit("|", 1)[1].strip())
+        else:
+            rest.append(line)
+    return modules, rest
+
+
+def imported(*args: str, code: int = 0) -> set[str]:
+    """The modules `python -X importtime <args>` imports, after checking its exit code."""
+    proc = fresh("-X", "importtime", *args)
     assert proc.returncode == code, proc.stderr[-2000:]
-    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:")}
+    return import_lines(proc.stderr)[0]
 
 
 @pytest.mark.parametrize("args, absent", [
@@ -71,8 +88,8 @@ def test_a_command_loads_only_the_modules_it_calls(args, absent):
     assert modules.isdisjoint(f"statesieve.{name}" for name in absent)
     # the records are NamedTuples, and no command builds a Partition, the one dataclass
     assert "dataclasses" not in modules
-    if "--help" in args:  # it ends in statesieve._front, before cli and numpy load
-        assert "numpy" not in modules
+    if "--help" in args:  # it ends in statesieve._front, before cli, json and numpy load
+        assert modules.isdisjoint({"json", "numpy"})
 
 
 def console_script() -> list[str]:
@@ -89,7 +106,36 @@ def console_script() -> list[str]:
 def test_a_usage_error_and_the_console_script_help_load_no_numpy(args, code):
     modules = imported(*args, code=code)
     assert "statesieve._front" in modules
+    assert modules.isdisjoint({"json", "numpy", "statesieve.cli", "statesieve.linalg"})
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_help_into_a_full_device_reports_without_loading_numpy_or_the_cli():
+    with open("/dev/full", "w") as fh:
+        proc = fresh("-X", "importtime", "-m", "statesieve", "--help", stdout=fh)
+    modules, rest = import_lines(proc.stderr)
+    assert proc.returncode == _front.EXIT_VALIDATION
+    assert [json.loads(line)["error"]["type"] for line in rest] == ["OSError"]
     assert modules.isdisjoint({"numpy", "statesieve.cli", "statesieve.linalg"})
+
+
+def test_running_the_cli_module_loads_it_once():
+    argv = ["verify", "--n", "2"]
+    proc = fresh("-X", "importtime", "-m", "statesieve.cli", *argv)
+    modules, rest = import_lines(proc.stderr)
+    assert "statesieve.linalg" in modules and "statesieve.cli" not in modules
+    as_cli = (proc.returncode, proc.stdout, rest)
+    proc = fresh("-m", "statesieve", *argv)
+    assert as_cli == (proc.returncode, proc.stdout, proc.stderr.splitlines())
+
+
+def test_the_default_tolerance_is_defined_once(capsys):
+    assert linalg.DEFAULT_TOL is _catalog.DEFAULT_TOL
+    for command in cli._COMMANDS:
+        with pytest.raises(SystemExit):
+            _front.build_parser().parse_args([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+        assert f"(default {_catalog.DEFAULT_TOL:g} or SIEVE_TOL)" in text, command
 
 
 @pytest.mark.parametrize("preset, seen", [(None, "20"), ("7", "7")])
