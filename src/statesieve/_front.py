@@ -14,7 +14,7 @@ import os
 import sys
 from typing import NoReturn, Sequence
 
-from ._catalog import BASIS_KEYS, DEFAULT_TOL
+from ._catalog import BASIS_KEYS, CERECEDA_AXES, DEFAULT_TOL, EMIT_ITEMS, PAULI_AXES
 
 EXIT_OK = 0
 EXIT_PROPERTY_VIOLATION = 1
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conjugate the system into a named basis")
     p.add_argument("--perm")
     p.add_argument("--emit", default="projectors,partitions",
-                   help="comma list from projectors,partitions,codes,basis,unitary,meet")
+                   help=f"comma list from {','.join(EMIT_ITEMS)}")
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="stream the N! equivalent diagonal systems")
@@ -110,11 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_count_arg("--limit"), default=None)
     p.add_argument("--count-only", action="store_true")
 
+    emit = "partitions,meet"
     p = sub.add_parser("partition", parents=[common, sized],
                        help="partitions induced on the basis, their meet "
-                            "(transform --emit partitions,meet)")
+                            f"(transform --emit {emit})")
     p.add_argument("--perm")
-    p.set_defaults(emit="partitions,meet")
+    p.set_defaults(emit=emit)
 
     p = sub.add_parser("simulate", parents=[common, sized],
                        help="route a basis state or measure an arbitrary one")
@@ -135,9 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pauli", parents=[common],
                        help="sigma-product propositions from an axis string")
     which = p.add_mutually_exclusive_group()
-    which.add_argument("--axes", help="one of x/y/z per particle, e.g. xyy")
+    which.add_argument("--axes", help=f"one of {'/'.join(PAULI_AXES)} per particle, "
+                                      f"e.g. {CERECEDA_AXES[0]}")
     which.add_argument("--cereceda", action="store_true",
-                       help="emit the permuted xyy/yxy/yyx triple")
+                       help=f"emit the permuted {'/'.join(CERECEDA_AXES)} triple")
 
     p = sub.add_parser("minimality", parents=[common],
                        help="why n-1 propositions cannot separate 2^n states")
@@ -151,8 +153,8 @@ def run(argv: Sequence[str] | None = None) -> NoReturn:
     its code, or that of argparse's SystemExit for --help and usage errors, once the
     output is flushed: os._exit skips the interpreter's teardown, so atexit handlers
     do not run (statesieve has none).  Any write to a stream whose reader has gone
-    ends it with 141, any other failed write (a full disk) with 3; other exceptions
-    propagate as usual."""
+    ends it with 141, any other failed write (a full disk) or a failed import (no
+    numpy) with 3 and the one JSON error line; other exceptions propagate as usual."""
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -166,6 +168,6 @@ def run(argv: Sequence[str] | None = None) -> NoReturn:
         sys.stderr.flush()
     except BrokenPipeError:
         code = EXIT_BROKEN_PIPE
-    except OSError as e:
+    except (ImportError, OSError) as e:
         code = _report(e)
     os._exit(code)

@@ -4,7 +4,7 @@ Each named basis comes as (Basis, NamedUnitary) where the unitary's columns
 are the basis vectors, i.e. |b_i> = U |e_i|.  The standard basis orders the
 product states |+..+> first, descending lexicographically to |-..->, with
 '+' mapping to the 0 bit.  A catalog unitary is an integer table divided by
-the square roots of its columns' sums of squares, certified at construction
+the square roots of its columns' sums of squares, certified once in `named_basis`
 by `_certified`: "matrix for basis '<key>' failed unitarity certification
 within <tol>" is its one refusal.
 """
@@ -235,8 +235,7 @@ def ghz_unitary() -> NamedUnitary:
 
 def ghz_basis(tol: float = DEFAULT_TOL) -> tuple[Basis, NamedUnitary]:
     """Eight maximally entangled three-particle states (|abc> +/- |a'b'c'>)/√2."""
-    u = ghz_unitary()
-    return basis_from_unitary(u, 3, tol), u
+    return named_basis("ghz", 3, tol)
 
 
 _W_INT = np.array([
@@ -259,8 +258,7 @@ def w_unitary() -> NamedUnitary:
 
 
 def w_basis(tol: float = DEFAULT_TOL) -> tuple[Basis, NamedUnitary]:
-    u = w_unitary()
-    return basis_from_unitary(u, 3, tol), u
+    return named_basis("w", 3, tol)
 
 
 _EQUAL_WEIGHT_INT = np.array([
@@ -275,15 +273,18 @@ _EQUAL_WEIGHT_INT = np.array([
 ])
 
 
+def _equal_weight() -> NamedUnitary:
+    return NamedUnitary("equal_weight", _EQUAL_WEIGHT_INT / np.sqrt(8))
+
+
 def equal_weight_unitary(tol: float = DEFAULT_TOL) -> NamedUnitary:
     """The all-(+/-1, +/-2)/(2√2) orthogonal matrix; certified at construction."""
-    return _certified(NamedUnitary("equal_weight", _EQUAL_WEIGHT_INT / np.sqrt(8)), tol)
+    return _certified(_equal_weight(), tol)
 
 
 def equal_weight_basis(tol: float = DEFAULT_TOL) -> tuple[Basis, NamedUnitary]:
     """Basis in which the first four states weight every product state equally."""
-    u = equal_weight_unitary(tol)
-    return basis_from_unitary(u, 3, tol), u
+    return named_basis("equal_weight", 3, tol)
 
 
 def named_basis(key: str, n: int = 3, tol: float = DEFAULT_TOL,
@@ -291,12 +292,13 @@ def named_basis(key: str, n: int = 3, tol: float = DEFAULT_TOL,
     """Look up a catalog basis by key; the fixed 8-state bases require n = 3."""
     if key == "standard":
         return standard_basis(n, force=force), None
-    makers = {"ghz": ghz_basis, "w": w_basis, "equal_weight": equal_weight_basis}
+    makers = {"ghz": ghz_unitary, "w": w_unitary, "equal_weight": _equal_weight}
     if key not in makers:
         raise ValueError(f"unknown basis key {key!r}; expected one of {BASIS_KEYS}")
     if n != 3:
         raise ValueError(f"basis {key!r} is defined for n = 3, got n = {n}")
-    return makers[key](tol)
+    u = makers[key]()
+    return basis_from_unitary(u, 3, tol), u
 
 
 def transformed_system(u: NamedUnitary | np.ndarray, system: PropositionSystem,

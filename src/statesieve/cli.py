@@ -13,6 +13,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
+from ._catalog import EMIT_ITEMS
 from ._front import (EXIT_BROKEN_PIPE, EXIT_OK, EXIT_PROPERTY_VIOLATION,  # noqa: F401
                      EXIT_USAGE, EXIT_VALIDATION, _report, _tolerance, build_parser, run)
 
@@ -154,12 +155,11 @@ def _cmd_transform(args) -> tuple[Any, int]:
     from . import jsonio
     from .systems import _code_blocks, answer_codes
     wanted = [w.strip() for w in args.emit.split(",") if w.strip()]
-    known = {"projectors", "partitions", "codes", "basis", "unitary", "meet"}
-    unknown = set(wanted) - known
+    unknown = sorted(set(wanted).difference(EMIT_ITEMS))
     if unknown:
-        raise ValueError(f"unknown --emit items {sorted(unknown)}; choose from {sorted(known)}")
+        raise ValueError(f"unknown --emit items {unknown}; choose from {sorted(EMIT_ITEMS)}")
     if not wanted:
-        raise ValueError(f"--emit needs at least one of {sorted(known)}")
+        raise ValueError(f"--emit needs at least one of {sorted(EMIT_ITEMS)}")
     if {"projectors", "basis"} & set(wanted):  # N x N amplitudes each
         _check_dense(args.n)
     system, basis, unitary = _build_system(args)

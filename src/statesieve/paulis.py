@@ -12,20 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
+from ._catalog import CERECEDA_AXES, PAULI_AXES
 from .linalg import tensor
 from .systems import PropositionSystem, _check_n
 
-PAULI_AXES = ("x", "y", "z")
-
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# Axis strings whose sigma-product propositions form the permuted triple
-# equivalent to the relative-spin + parity system for three particles.
-CERECEDA_AXES = ("xyy", "yxy", "yyx")
+_PAULI = dict(zip(PAULI_AXES, (np.array([[0, 1], [1, 0]], dtype=complex),
+                               np.array([[0, -1j], [1j, 0]], dtype=complex),
+                               np.array([[1, 0], [0, -1]], dtype=complex))))
 
 # Diagonal 0/1 preimages of that triple under the GHZ basis change,
 # ordered to match CERECEDA_AXES.

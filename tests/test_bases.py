@@ -208,6 +208,26 @@ class TestNamedBasisLookup:
         _, u = named_basis(key)
         assert u.matrix.tobytes() == (ints / np.sqrt(norms)).astype(complex).tobytes()
 
+    @pytest.mark.parametrize("key", ["ghz", "w", "equal_weight"])
+    def test_each_basis_function_is_the_lookup(self, key):
+        from statesieve import bases
+        basis, u = getattr(bases, f"{key}_basis")(1e-12)
+        same, v = named_basis(key, 3, 1e-12)
+        assert basis.vectors.tobytes() == same.vectors.tobytes()
+        assert basis.labels == same.labels and u.matrix.tobytes() == v.matrix.tobytes()
+
+    @pytest.mark.parametrize("key", ["ghz", "w", "equal_weight"])
+    def test_each_basis_function_certifies_its_unitary_once(self, monkeypatch, key):
+        from statesieve import bases
+        real, calls = bases.is_unitary, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(bases, "is_unitary", counted)
+        getattr(bases, f"{key}_basis")()
+        assert len(calls) == 1
+
 
 class TestBasisInputs:
     @pytest.mark.parametrize("vectors, labels, message", [

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from statesieve import (DetectorOutcome, bases, cli, ghz_basis, jsonio, linalg, sieve,
+from statesieve import (DetectorOutcome, _catalog, bases, cli, ghz_basis, jsonio, linalg, sieve,
                         standard_system, systems, transformed_system)
 from statesieve.cli import main
 
@@ -167,9 +167,9 @@ class TestVerify:
             "type": "ValueError", "message": "system field 'projectors' entry 1: matrix field "
                                              "'data' must hold [re, im] pairs of finite numbers"}
 
-    # ghz and w are certified by basis_from_unitary and transformed_system;
-    # equal_weight_unitary certifies its matrix at construction as well
-    @pytest.mark.parametrize("basis, checks", [("ghz", 2), ("w", 2), ("equal_weight", 3)])
+    # every catalog unitary is certified by named_basis (in basis_from_unitary)
+    # and once more by transformed_system
+    @pytest.mark.parametrize("basis, checks", [("ghz", 2), ("w", 2), ("equal_weight", 2)])
     def test_a_catalog_unitary_is_certified_once_per_use(self, capsys, monkeypatch,
                                                           basis, checks):
         real, calls = linalg.is_unitary, []
@@ -281,8 +281,9 @@ class TestTransform:
         assert np.allclose(first, np.diag([1, 1, 0, 0, 0, 0, 1, 1]))
 
     def test_unknown_emit_item(self, capsys):
-        code, _, err = run_cli(capsys, "transform", "--emit", "spectra")
-        assert code == 3 and "emit" in json.loads(err)["error"]["message"]
+        code, _, err = run_cli(capsys, "transform", "--emit", "codes,spectra")
+        assert code == 3 and json.loads(err)["error"]["message"] == (
+            f"unknown --emit items ['spectra']; choose from {sorted(_catalog.EMIT_ITEMS)}")
 
     @pytest.mark.parametrize("emit", ["", ",", " , "])
     def test_empty_emit_list(self, capsys, emit):

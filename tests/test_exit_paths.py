@@ -245,6 +245,16 @@ def test_run_ends_a_broken_pipe_with_141(where, exit_code, monkeypatch):
     assert exit_code == [cli.EXIT_BROKEN_PIPE]
 
 
+def test_a_missing_numpy_is_a_resource_error():
+    # the commands cannot load: one JSON error line and 3, not a traceback and 1
+    script = ("import sys; sys.modules['numpy'] = None\n"
+              "from statesieve._front import run; run(['verify', '--n', '3'])")
+    proc = fresh(["-c", script], [], subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_VALIDATION, b"")
+    [line] = proc.stderr.decode().splitlines()
+    assert json.loads(line)["error"]["type"] == "ModuleNotFoundError"
+
+
 def test_run_reads_another_failed_write_as_a_resource_error(exit_code, monkeypatch, capsys):
     def execute(args):
         raise OSError(errno.ENOSPC, "No space left on device")

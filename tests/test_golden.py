@@ -2,6 +2,7 @@
 `verify` runs whose tolerance is too tight for the basis, compared byte for
 byte with files recorded before the code paths they cover were rewritten."""
 
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from statesieve.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+REPRODUCE = Path(__file__).parent.parent / "scripts" / "reproduce_tables.py"
 
 README_COMMANDS = {
     "build_standard": "build --n 3 --basis standard",
@@ -44,6 +46,9 @@ TEXT_COMMANDS = {
     "build_n2_text": "build --n 2 --format text",
     "pauli_xyz_text": "pauli --axes xyz --format text",
     "transform_w_text": "transform --n 3 --basis w --emit projectors,unitary,basis --format text",
+    "transform_equal_weight_text": "transform --n 3 --basis equal_weight "
+                                   "--emit projectors,partitions,meet,codes,basis,unitary "
+                                   "--format text",
 }
 
 # Tolerances just above the catalog unitaries' defects (2.2e-16, 1.1e-16):
@@ -74,3 +79,10 @@ def test_verify_failure_text_is_unchanged(capsys, name):
     out = capsys.readouterr().out
     assert code == 1
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_the_reproduce_script_prints_every_catalog_basis_as_recorded(capsys):
+    # each catalog basis's labels, transformed projectors, certification and
+    # partitions, and the Cereceda triple, on a 6.3f grid
+    runpy.run_path(str(REPRODUCE), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / "reproduce_tables.out").read_text()

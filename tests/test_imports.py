@@ -138,6 +138,20 @@ def test_the_default_tolerance_is_defined_once(capsys):
         assert f"(default {_catalog.DEFAULT_TOL:g} or SIEVE_TOL)" in text, command
 
 
+def test_the_help_names_each_vocabulary_from_the_catalog(capsys):
+    emit = _front.build_parser().parse_args(["partition"]).emit
+    for argv, names in (
+            (["--help"], [f"(transform --emit {emit})"]),
+            (["transform", "--help"], [",".join(_catalog.EMIT_ITEMS)]),
+            (["pauli", "--help"], ["/".join(_catalog.PAULI_AXES),
+                                   "/".join(_catalog.CERECEDA_AXES)])):
+        with pytest.raises(SystemExit):
+            _front.build_parser().parse_args(argv)
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+        for name in names:
+            assert name in text, argv
+
+
 @pytest.mark.parametrize("preset, seen", [(None, "20"), ("7", "7")])
 def test_the_cli_gives_openblas_a_short_thread_timeout(preset, seen):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}

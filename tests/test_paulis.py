@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statesieve import _catalog, paulis
 from statesieve import (CERECEDA_AXES, CERECEDA_PREIMAGE_DIAGONALS, Partition,
                         ResourceLimitError, cereceda_system, certify_system, commutator_norm,
                         conjugate, embed, ghz_basis, is_projector, pauli,
@@ -37,6 +38,11 @@ class TestPauli:
         m = pauli("x")
         m[0, 0] = 99
         assert pauli("x")[0, 0] == 0
+
+
+def test_the_axes_and_the_triple_are_the_catalogs():
+    assert paulis.PAULI_AXES is _catalog.PAULI_AXES
+    assert CERECEDA_AXES is paulis.CERECEDA_AXES is _catalog.CERECEDA_AXES
 
 
 class TestEmbed:
