@@ -18,22 +18,19 @@ import numpy as np
 
 from ._catalog import BASIS_KEYS
 from .linalg import (DEFAULT_TOL, as_matrix, dagger, eigenvalue_bits, is_unitary, max_abs,
-                     quotient_bits)
+                     quotient_bits, _rayleigh_quotients)
 from .systems import PropositionSystem, _check_n
 
 
 class Basis:
     """Ordered orthonormal basis: row k of `vectors` is the (k + 1)-th state.
 
-    `Basis(vectors, labels)` holds the dense (size, dim) array.  The standard
-    basis is stored in identity form instead (`identity` is True): `vector(k)`
-    builds one unit vector, `eigenvalue_bits` reads the Rayleigh quotients off
-    a projector's diagonal, `label(k)` builds one ket label, and the dense
-    N x N `vectors` and the N ket `labels` are built only when something asks
-    for them.
+    `Basis(vectors, labels)` holds the dense (size, dim) array.  The standard basis is an
+    `IdentityBasis` (`identity` is True), which builds `vectors` and `labels` only when read.
     """
 
-    __slots__ = ("identity", "_shape", "_vectors", "_labels")
+    __slots__ = ("_shape", "_vectors", "_labels")
+    identity = False
 
     def __init__(self, vectors, labels: Sequence[str]):
         v = np.asarray(vectors, dtype=complex)
@@ -41,10 +38,7 @@ class Basis:
             raise ValueError("basis vectors must form a 2-d array")
         if len(labels) != v.shape[0]:
             raise ValueError("one label per basis vector required")
-        self.identity = False
-        self._shape = v.shape
-        self._vectors: np.ndarray | None = v
-        self._labels: Sequence[str] | None = labels
+        self._shape, self._vectors, self._labels = v.shape, v, labels
 
     @property
     def vectors(self) -> np.ndarray:
@@ -62,11 +56,8 @@ class Basis:
         return self._labels
 
     def label(self, k: int) -> str:
-        """Label of basis state k (1-based); on the identity form, ket_label(k - 1, n)."""
-        i = self.rows(k).start
-        if not self.identity:
-            return self.labels[i]
-        return ket_label(i, self.dim.bit_length() - 1)
+        """Label of basis state k (1-based)."""
+        return self.labels[self.rows(k).start]
 
     @property
     def size(self) -> int:
@@ -84,36 +75,46 @@ class Basis:
 
     def vector(self, k: int) -> np.ndarray:
         """Basis state k (1-based) as a complex vector of length dim."""
-        i = self.rows(k).start
-        if not self.identity:
-            return self.vectors[i]
-        v = np.zeros(self.dim, dtype=complex)
-        v[i] = 1
-        return v
+        return self.vectors[self.rows(k).start]
 
     def eigenvalue_bits(self, p: np.ndarray, tol: float = DEFAULT_TOL,
                         projector_index: int | None = None,
                         index: int | None = None) -> np.ndarray:
         """0/1 eigenvalues of projector p (dense, or a 1-D diagonal) on every
         basis vector, or on vector `index` (1-based) alone, as
-        linalg.eigenvalue_bits gives them on those rows of `vectors`.
-
-        On the identity the Rayleigh quotients are p's real diagonal: the
-        dense products give exactly that, each factor from a unit vector
-        being an exact 0 or 1.
-        """
-        rows, first = self.rows(index), index or 1
-        if not self.identity:
-            return eigenvalue_bits(p, self.vectors[rows], tol, projector_index, first)
-        d = p if p.ndim == 1 else np.real(np.diag(p))
-        return quotient_bits(d[rows], tol, projector_index, first)
+        linalg.eigenvalue_bits gives them on those rows of `vectors`."""
+        return eigenvalue_bits(p, self.vectors[self.rows(index)], tol, projector_index, index or 1)
 
     def gram_defect(self) -> float:
         """Max deviation of the Gram matrix from the identity."""
-        if self.identity:
-            return 0.0  # unit vectors are exactly orthonormal
-        g = np.conj(self.vectors) @ self.vectors.T
-        return max_abs(g - np.eye(self.size))
+        return max_abs(np.conj(self.vectors) @ self.vectors.T - np.eye(self.size))
+
+
+class IdentityBasis(Basis):
+    """The standard basis in identity form: `vector(k)` builds one unit vector, `label(k)`
+    one ket label, and `eigenvalue_bits` reads the Rayleigh quotients off a projector's
+    diagonal, as the dense products give them: each unit-vector factor is exactly 0 or 1."""
+
+    __slots__ = ()
+    identity = True
+
+    def __init__(self, dim: int):
+        self._shape, self._vectors, self._labels = (dim, dim), None, None
+
+    def label(self, k: int) -> str:
+        return ket_label(self.rows(k).start, self.dim.bit_length() - 1)
+
+    def vector(self, k: int) -> np.ndarray:
+        v = np.zeros(self.dim, dtype=complex)
+        v[self.rows(k).start] = 1
+        return v
+
+    def eigenvalue_bits(self, p, tol=DEFAULT_TOL, projector_index=None, index=None):
+        q = _rayleigh_quotients(p)[self.rows(index)]
+        return quotient_bits(q, tol, projector_index, index or 1)
+
+    def gram_defect(self) -> float:
+        return 0.0  # unit vectors are exactly orthonormal
 
 
 class NamedUnitary:
@@ -191,14 +192,10 @@ def combo_label(vec: np.ndarray, n: int, tol: float = 1e-9) -> str:
 
 
 def standard_basis(n: int, force: bool = False) -> Basis:
-    """The N = 2^n canonical unit vectors labeled |+..+> down to |-..->,
-    in identity form: neither the N x N array nor the labels are built
-    until they are read.  Every command that uses it also builds (n, 2^n)
-    arrays, so no force lifts n past STRUCTURED_MAX_N."""
-    dim = _check_n(n, force, "STRUCTURED_MAX_N")
-    basis = Basis.__new__(Basis)
-    basis.identity, basis._shape, basis._vectors, basis._labels = True, (dim, dim), None, None
-    return basis
+    """The N = 2^n canonical unit vectors labeled |+..+> down to |-..->, an IdentityBasis.
+    Every command that uses it also builds (n, 2^n) arrays, so no force lifts n past
+    STRUCTURED_MAX_N."""
+    return IdentityBasis(_check_n(n, force, "STRUCTURED_MAX_N"))
 
 
 def basis_from_unitary(u: NamedUnitary, n: int,

@@ -129,13 +129,19 @@ def eigenvalue_bits(p: np.ndarray, vectors: np.ndarray, tol: float = DEFAULT_TOL
     p is a dense matrix or, for a diagonal projector, the 1-D diagonal.
     Rounds each Rayleigh quotient <v|P|v> as quotient_bits does.
     """
-    v = np.asarray(vectors)
+    return quotient_bits(_rayleigh_quotients(p, np.asarray(vectors)), tol, projector_index,
+                         first_vector_index)
+
+
+def _rayleigh_quotients(p, vectors: np.ndarray | None = None) -> np.ndarray:
+    """<v|P|v> on each row v of `vectors`, or on each unit vector for None: p's real
+    diagonal.  The one reader of a raw operator's form, a dense matrix or a 1-D diagonal."""
     p = np.asarray(p)
     if p.ndim == 1:
-        q = np.abs(v) ** 2 @ p
-    else:
-        q = np.real(np.einsum("kd,kd->k", np.conj(v), v @ p.T))
-    return quotient_bits(q, tol, projector_index, first_vector_index)
+        return p if vectors is None else np.abs(vectors) ** 2 @ p
+    if vectors is None:
+        return np.real(np.diag(p))
+    return np.real(np.einsum("kd,kd->k", np.conj(vectors), vectors @ p.T))
 
 
 def quotient_bits(q: np.ndarray, tol: float = DEFAULT_TOL,

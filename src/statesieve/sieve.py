@@ -123,12 +123,12 @@ def _measured_weights(system: PropositionSystem, state, tol: float) -> list[np.n
     v = _as_state(system, state)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > tol:
-        raise ValueError(f"state is not normalized (norm {norm:.6g})")
+        raise ValueError(f"state is not normalized (norm {norm:.17g})")
     weights = _branch_weights(system, v)
     total = float(weights[-1].sum())
     if abs(total - 1.0) > max(tol, BRANCH_SUM_FLOOR):
         raise ValueError(
-            f"branch weights sum to {total:.6g}; system is not certified")
+            f"branch weights sum to {total:.17g}; system is not certified")
     return weights
 
 

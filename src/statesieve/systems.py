@@ -38,14 +38,13 @@ class ResourceLimitError(ValueError):
 class PropositionSystem:
     """Ordered list of n commuting projectors on a 2^n-dimensional space.
 
-    `PropositionSystem(n, projectors)` holds dense matrices.  A system built
-    by `system_from_diagonals`, and every standard, permuted and enumerated
-    system, keeps its (n, N) 0/1 `diagonals` instead and builds the dense
-    `projectors` only when something asks for them.  `diagonals` is None
-    for a dense system.
+    `PropositionSystem(n, projectors)` holds dense matrices.  Every standard, permuted,
+    enumerated or `system_from_diagonals` system is a `DiagonalSystem`, which keeps its
+    (n, N) 0/1 `diagonals` (None here) and builds `projectors` only when asked for them.
     """
 
-    __slots__ = ("n", "diagonals", "_projectors")
+    __slots__ = ("n", "_projectors")
+    diagonals: np.ndarray | None = None
 
     def __init__(self, n: int, projectors: Sequence[np.ndarray]):
         projs = tuple(np.asarray(p, dtype=complex) for p in projectors)
@@ -54,9 +53,7 @@ class PropositionSystem:
             if p.shape != (dim, dim):
                 raise ValueError(
                     f"projector {i + 1} has shape {p.shape}, expected {(dim, dim)}")
-        self.n = n
-        self.diagonals: np.ndarray | None = None
-        self._projectors: tuple[np.ndarray, ...] | None = projs
+        self.n, self._projectors = n, projs
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
@@ -73,16 +70,81 @@ class PropositionSystem:
 
     @property
     def size(self) -> int:
-        return len(self.diagonals if self.diagonals is not None else self._projectors)
+        return len(self._projectors)
 
     def operator(self, i: int) -> np.ndarray:
-        """Projector i (0-based) as stored: a 1-D 0/1 diagonal or a dense matrix."""
-        return self.diagonals[i] if self.diagonals is not None else self.projectors[i]
+        """Projector i (0-based) as stored: a dense matrix, or a 1-D 0/1 diagonal."""
+        return self.projectors[i]
 
     def apply(self, i: int, v: np.ndarray) -> np.ndarray:
-        """Projector i (0-based) applied to v: d * v or P @ v."""
-        p = self.operator(i)
-        return p * v if p.ndim == 1 else p @ v
+        """Projector i (0-based) applied to v."""
+        return self.projectors[i] @ v
+
+    def _noncommuting_pairs(self, tol: float) -> list[tuple[int, int, float]]:
+        """(i, j, commutator norm) for each 1-based pair i < j that fails to commute."""
+        norms = ((i + 1, j + 1, commutator_norm(self.projectors[i], self.projectors[j]))
+                 for i, j in itertools.combinations(range(self.size), 2))
+        return [(i, j, c) for i, j, c in norms if c > tol]
+
+    def _projector_traces(self, tol: float) -> list[tuple[bool, complex]]:
+        """(is a projector within tol, trace) of each projector."""
+        return [(is_projector(p, tol), complex(np.trace(p))) for p in self.projectors]
+
+    def _answer_codes(self, basis: "Basis", tol: float, index: int | None) -> np.ndarray:
+        codes = np.zeros((basis.size if index is None else 1, self.size), dtype=int)
+        for i in range(self.size):
+            codes[:, i] = basis.eigenvalue_bits(self.operator(i), tol, i + 1, index)
+        return codes
+
+    def _diagonal_rows(self, tol: float) -> np.ndarray:
+        """The (k, N) 0/1 diagonals, refused unless each projector is diagonal and 0/1."""
+        rows = []
+        for i, proj in enumerate(self.projectors, start=1):
+            d = np.diag(proj)
+            if max_abs(proj - np.diag(d)) > tol:
+                raise ValueError(f"projector {i} is not diagonal")
+            try:
+                rows.append(quotient_bits(d, tol))
+            except EigenbasisError:
+                raise ValueError(f"projector {i} diagonal is not 0/1") from None
+        return np.array(rows)
+
+
+class DiagonalSystem(PropositionSystem):
+    """The diagonal form: a (k, 2^n) 0/1 integer array its caller built, stored read-only
+    as it is, without system_from_diagonals' checks and copy.  Its rows are projectors
+    that commute exactly, and each entry is its projector's answer on that unit vector."""
+
+    __slots__ = ("diagonals",)
+
+    def __init__(self, diagonals: np.ndarray):
+        self.n, self._projectors = diagonals.shape[1].bit_length() - 1, None
+        self.diagonals = diagonals
+        diagonals.flags.writeable = False
+
+    @property
+    def size(self) -> int:
+        return len(self.diagonals)
+
+    def operator(self, i: int) -> np.ndarray:
+        return self.diagonals[i]
+
+    def apply(self, i: int, v: np.ndarray) -> np.ndarray:
+        return self.diagonals[i] * v
+
+    def _noncommuting_pairs(self, tol: float) -> list[tuple[int, int, float]]:
+        return []
+
+    def _projector_traces(self, tol: float) -> list[tuple[bool, complex]]:
+        return [(True, complex(np.sum(d))) for d in self.diagonals]
+
+    def _answer_codes(self, basis: "Basis", tol: float, index: int | None) -> np.ndarray:
+        if basis.identity:  # each 0/1 diagonal entry is its own answer: column i is diagonal i
+            return np.array(self.diagonals[:, basis.rows(index)].T, dtype=int, order="C")
+        return super()._answer_codes(basis, tol, index)
+
+    def _diagonal_rows(self, tol: float) -> np.ndarray:
+        return self.diagonals
 
 
 class RequirementReport(NamedTuple):
@@ -158,11 +220,7 @@ def standard_diagonals(n: int, force: bool = False) -> np.ndarray:
 
 
 def system_from_diagonals(diagonals: np.ndarray) -> PropositionSystem:
-    """The system whose projectors are diagonal with the 0/1 rows of `diagonals`.
-
-    It stores a read-only integer copy of the rows; the dense projectors are
-    built only on first access to `projectors`.
-    """
+    """The DiagonalSystem on a read-only integer copy of the 0/1 rows of `diagonals`."""
     d = np.asarray(diagonals)
     dim = d.shape[-1] if d.ndim == 2 else 0
     n = dim.bit_length() - 1
@@ -170,34 +228,12 @@ def system_from_diagonals(diagonals: np.ndarray) -> PropositionSystem:
         raise ValueError(f"diagonals must be an array of shape (k, 2^n), got {d.shape}")
     if not np.all((d == 0) | (d == 1)):
         raise ValueError("diagonals must hold only 0 and 1")
-    return _diagonal_system(d.astype(int))
-
-
-def _diagonal_system(diagonals: np.ndarray) -> PropositionSystem:
-    """The system on a (k, 2^n) 0/1 integer array that its caller built and
-    hands over: stored read-only as it is, without the checks and the copy
-    system_from_diagonals makes of an outside array."""
-    system = PropositionSystem.__new__(PropositionSystem)
-    system.n, system._projectors = diagonals.shape[1].bit_length() - 1, None
-    system.diagonals = diagonals
-    diagonals.flags.writeable = False
-    return system
+    return DiagonalSystem(d.astype(int))
 
 
 def standard_system(n: int, force: bool = False) -> PropositionSystem:
     """The binary-search system: projector i asks "is particle i in state +"."""
-    return _diagonal_system(standard_diagonals(n, force))
-
-
-def _noncommuting_pairs(system: PropositionSystem,
-                        tol: float) -> Iterator[tuple[int, int, float]]:
-    """(i, j, commutator norm) for each 1-based pair i < j that fails to commute."""
-    if system.diagonals is not None:
-        return  # diagonal matrices commute exactly
-    for i, j in itertools.combinations(range(system.size), 2):
-        c = commutator_norm(system.projectors[i], system.projectors[j])
-        if c > tol:
-            yield i + 1, j + 1, c
+    return DiagonalSystem(standard_diagonals(n, force))
 
 
 def certify_system(system: PropositionSystem,
@@ -206,7 +242,7 @@ def certify_system(system: PropositionSystem,
 
     Returns a list of human-readable failure descriptions (empty = certified).
     """
-    return _certification_failures(system, tol, list(_noncommuting_pairs(system, tol)))
+    return _certification_failures(system, tol, system._noncommuting_pairs(tol))
 
 
 def _certification_failures(system: PropositionSystem, tol: float,
@@ -214,11 +250,9 @@ def _certification_failures(system: PropositionSystem, tol: float,
     """certify_system's failures, given the result of _noncommuting_pairs."""
     failures = []
     half = system.dim / 2
-    for i in range(1, system.size + 1):
-        p = system.operator(i - 1)
-        if p.ndim == 2 and not is_projector(p, tol):  # a 0/1 diagonal always is one
+    for i, (projector, trace) in enumerate(system._projector_traces(tol), start=1):
+        if not projector:
             failures.append(f"projector {i} is not a projector within {tol}")
-        trace = complex(np.sum(p) if p.ndim == 1 else np.trace(p))
         if abs(trace - half) > tol:
             failures.append(f"projector {i} has trace {trace:.17g}, expected {half}")
     failures.extend(f"projectors {i} and {j} do not commute (norm {c:.3e})"
@@ -236,14 +270,8 @@ def answer_codes(system: PropositionSystem, basis: "Basis", tol: float = DEFAULT
     if system.dim != basis.dim:
         raise ValueError(
             f"dimension mismatch: system {system.dim}, basis {basis.dim}")
-    rows = basis.rows(index)
-    if system.diagonals is not None and basis.identity:
-        # each 0/1 diagonal entry is its own answer: column i is diagonal i
-        return np.array(system.diagonals[:, rows].T, dtype=int, order="C")
-    codes = np.zeros((basis.size if index is None else 1, system.size), dtype=int)
-    for i in range(system.size):
-        codes[:, i] = basis.eigenvalue_bits(system.operator(i), tol, i + 1, index)
-    return codes
+    basis.rows(index)  # the range check, before any form is read
+    return system._answer_codes(basis, tol, index)
 
 
 def system_partitions(system: PropositionSystem, basis: "Basis",
@@ -256,7 +284,7 @@ def verify_requirements(system: PropositionSystem, basis: "Basis",
                         tol: float = DEFAULT_TOL) -> RequirementReport:
     """Verify the three defining requirements against a basis."""
     codes = answer_codes(system, basis, tol)
-    return _requirement_report(codes, list(_noncommuting_pairs(system, tol)))
+    return _requirement_report(codes, system._noncommuting_pairs(tol))
 
 
 def _requirement_report(codes: np.ndarray,
@@ -313,7 +341,7 @@ def _distinct_rows(codes) -> bool:
 def verify_system(system: PropositionSystem, basis: "Basis", tol: float = DEFAULT_TOL
                   ) -> tuple[list[str], RequirementReport | None, bool]:
     """(failures, requirement report or None off a common eigenbasis, separates) from one pass."""
-    noncommuting = list(_noncommuting_pairs(system, tol))  # one scan for both reports
+    noncommuting = system._noncommuting_pairs(tol)  # one scan for both reports
     failures = _certification_failures(system, tol, noncommuting)
     try:
         codes = answer_codes(system, basis, tol)
@@ -337,18 +365,7 @@ def permute_system(system: PropositionSystem,
     permutations composes the maps: permute(permute(S, p), q) equals
     permute(S, q o p).
     """
-    diags = system.diagonals
-    if diags is None:  # dense: extract the 0/1 diagonals after rejecting anything else
-        rows = []
-        for i, proj in enumerate(system.projectors, start=1):
-            d = np.diag(proj)
-            if max_abs(proj - np.diag(d)) > tol:
-                raise ValueError(f"projector {i} is not diagonal")
-            try:
-                rows.append(quotient_bits(d, tol))
-            except EigenbasisError:
-                raise ValueError(f"projector {i} diagonal is not 0/1") from None
-        diags = np.array(rows)
+    diags = system._diagonal_rows(tol)
     p, size = np.asarray(perm, dtype=int), diags.shape[1]
     if p.shape != (size,):
         raise ValueError(f"permutation must have length {size}, got {p.shape}")
@@ -356,7 +373,7 @@ def permute_system(system: PropositionSystem,
         raise ValueError("permutation is not a bijection on 0..N-1")
     out = np.empty_like(diags)
     out[:, p] = diags
-    return _diagonal_system(out)
+    return DiagonalSystem(out)
 
 
 def _check_enumeration(n: int, limit: int | None, force: bool,
@@ -409,7 +426,7 @@ def enumerate_systems(n: int, limit: int | None = None,
     for perm in itertools.islice(itertools.permutations(range(dim)), limit):
         out = np.empty_like(std)
         out[:, perm] = std
-        yield _diagonal_system(out)
+        yield DiagonalSystem(out)
 
 
 def separates(system: PropositionSystem, basis: "Basis",

@@ -322,6 +322,10 @@ class TestLabels:
         v = np.array([0, -S6, 2 * S6, -S6, 0, 0, 0, 0], dtype=complex)
         assert combo_label(v, 3) == "(-|++->+2|+-+>-|+-->)/√6"
 
+    def test_combo_gives_up_on_a_ratio_off_by_1e_3(self):
+        # 2.001 is no integer multiple of the smallest amplitude, within 1e-6
+        assert combo_label(np.array([1, 2.001]) / np.sqrt(5), 1) == ""
+
     def test_combo_gives_up_on_generic_vectors(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(8)

@@ -365,7 +365,8 @@ class TestDenseOutputsKeepTheirLimit:
 
         monkeypatch.setattr(systems.PropositionSystem, "projectors", property(refuse))
         monkeypatch.setattr(bases.Basis, "vectors", property(refuse))
-        monkeypatch.setattr(bases.Basis, "vector", refuse)
+        for form in (bases.Basis, bases.IdentityBasis):
+            monkeypatch.setattr(form, "vector", refuse)
 
     @pytest.mark.parametrize("force", [[], ["--force"]])
     @pytest.mark.parametrize("argv, what", [  # what: the N x N output refused
@@ -618,6 +619,12 @@ class TestPauli:
     def test_permuted_triple(self, capsys):
         payload = run_json(capsys, "pauli", "--cereceda")
         assert payload["certified"] and payload["axes"] == ["xyy", "yxy", "yyx"]
+
+    def test_permuted_triple_commutes_exactly(self, capsys):
+        # its commutators are exactly 0, so even --tol 0 reports no pair: a pair is
+        # reported only when its norm exceeds the tolerance, never when it equals it
+        payload = run_json(capsys, "pauli", "--cereceda", "--tol", "0")
+        assert payload["certified"] is True
 
     def test_needs_axes_or_triple(self, capsys):
         code, _, _ = run_cli(capsys, "pauli")

@@ -3,6 +3,7 @@ closed-form enumeration count, and the work each command does once."""
 
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -160,11 +161,11 @@ class TestCascade:
             measure_and_sample(system, np.eye(4)[0], 0, 1)
 
     def test_an_eigenstate_applies_projectors_only_along_its_path(self, monkeypatch):
-        applied = []
-        apply = PropositionSystem.apply
-        monkeypatch.setattr(PropositionSystem, "apply",
+        applied, system = [], standard_system(8)
+        apply = type(system).apply  # the method of the system's stored form
+        monkeypatch.setattr(type(system), "apply",
                             lambda self, i, v: applied.append(i) or apply(self, i, v))
-        measure_state(standard_system(8), np.eye(256)[37])
+        measure_state(system, np.eye(256)[37])
         assert applied == list(range(8))
 
     def test_simulate_state_with_samples_builds_one_tree(self, monkeypatch, capsys):
@@ -205,6 +206,30 @@ class TestBranchSumFloor:
         monkeypatch.setattr(sieve, "BRANCH_SUM_FLOOR", 0.0)
         assert main(argv) == 3
         assert "system is not certified" in capsys.readouterr().err
+
+    def test_a_branch_sum_off_by_1e_7_is_refused_at_the_default_tol(self):
+        # the state is exactly normalized, so the branch sum alone is tested: it is
+        # 1 - 1e-7, which the floor, sized for rounding only, does not absorb
+        with pytest.raises(ValueError, match="system is not certified"):
+            measure_state(PropositionSystem(1, [np.diag([1, 1e-7])]), np.array([1, 1]) / np.sqrt(2))
+
+    def test_the_refused_branch_sum_is_printed_in_full(self):
+        system, state = PropositionSystem(1, [np.diag([1, 1e-7])]), np.array([1, 1]) / np.sqrt(2)
+        total = float(sieve._branch_weights(system, sieve._as_state(system, state))[-1].sum())
+        with pytest.raises(ValueError) as refused:
+            measure_state(system, state)
+        printed = re.fullmatch(r"branch weights sum to (\S+); system is not certified",
+                               str(refused.value))
+        assert float(printed.group(1)) == total != 1.0
+
+    def test_the_refused_norm_is_printed_in_full(self, capsys, tmp_path):
+        v = np.array([math.sqrt(1 + 1e-7), 0, 0, 0])
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"rows": 4, "cols": 1, "data": [[x, 0.0] for x in v.tolist()]}))
+        assert main(["simulate", "--n", "2", "--state", str(path)]) == 3
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        printed = re.fullmatch(r"state is not normalized \(norm (\S+)\)", message)
+        assert float(printed.group(1)) == float(np.linalg.norm(v)) != 1.0
 
 
 LIMITS = [None, 0, 1, 5, 24, 25, 40320, 40321]
