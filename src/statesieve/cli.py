@@ -13,14 +13,13 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ._catalog import EMIT_ITEMS
+from ._catalog import DEFAULT_TOL, EMIT_ITEMS
 from ._front import (EXIT_BROKEN_PIPE, EXIT_OK, EXIT_PROPERTY_VIOLATION,  # noqa: F401
                      EXIT_USAGE, EXIT_VALIDATION, _report, _tolerance, build_parser, run)
 
 # OpenBLAS's idle workers spin 2^28 cycles before they sleep; 2^20 is enough. A set value wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
-# only so that `import statesieve.cli` loads numpy, which benchmarks/run.py times in it
-from .linalg import DEFAULT_TOL
+import numpy as np  # after that default, which OpenBLAS reads as numpy loads
 
 if TYPE_CHECKING:
     from .bases import Basis, NamedUnitary
@@ -279,7 +278,8 @@ def _execute(args) -> int:
         if args.tol is None:
             env = os.environ.get("SIEVE_TOL")
             args.tol = _tolerance(env, "SIEVE_TOL") if env else DEFAULT_TOL
-        payload, code = _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # each verdict carries an inf or NaN into its message
+            payload, code = _COMMANDS[args.command](args)
         text = _render(args, payload)  # a NaN in the payload is a ValueError here
     except (ValueError, OSError, MemoryError) as e:
         return _report(e)

@@ -84,16 +84,22 @@ def tensor(a, b) -> np.ndarray:
     return a[np.ix_(a_idx - 1, a_idx - 1)] * b[np.ix_(b_idx - 1, b_idx - 1)]
 
 
+def _within(deviation, tol: float):
+    """The one verdict rule: a measured deviation passes iff it is within tol.
+    Elementwise on arrays; a NaN deviation, which no ordered comparison holds for, fails."""
+    return deviation <= tol
+
+
 def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
     """True iff ||U^dag U - I||_max <= tol."""
     u = as_matrix(u)
-    return max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol
+    return _within(max_abs(dagger(u) @ u - np.eye(u.shape[0])), tol)
 
 
 def is_projector(p, tol: float = DEFAULT_TOL) -> bool:
     """True iff P is Hermitian and idempotent within tol (max norm)."""
     p = as_matrix(p)
-    return max_abs(p @ p - p) <= tol and max_abs(p - dagger(p)) <= tol
+    return _within(max_abs(p @ p - p), tol) and _within(max_abs(p - dagger(p)), tol)
 
 
 def commutator_norm(a, b) -> float:
@@ -154,7 +160,7 @@ def quotient_bits(q: np.ndarray, tol: float = DEFAULT_TOL,
     vector first_vector_index + k, or no vector for None.
     """
     ones = np.abs(q - 1.0) < np.abs(q)
-    bad = np.flatnonzero(~(np.abs(q - ones) <= tol))
+    bad = np.flatnonzero(~_within(np.abs(q - ones), tol))
     if bad.size:
         k = int(bad[0])
         vector_index = None if first_vector_index is None else first_vector_index + k

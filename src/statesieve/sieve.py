@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_vector
+from .linalg import DEFAULT_TOL, _within, as_vector
 from .systems import PropositionSystem, _check_n, answer_codes
 
 if TYPE_CHECKING:
@@ -35,7 +35,7 @@ class MeasurementDistribution(NamedTuple):
         """Detector index of the probability nearest 1 if it is within tol, else None."""
         gaps = np.abs(np.asarray(self.probabilities) - 1.0)
         k = int(np.argmin(gaps))
-        return k + 1 if gaps[k] <= tol else None
+        return k + 1 if _within(gaps[k], tol) else None
 
 
 class QuestionCountRecord(NamedTuple):
@@ -101,8 +101,8 @@ def _branch_weights(system: PropositionSystem, state: np.ndarray) -> list[np.nda
     b sits at detector(b) - 1.  The tree is walked depth-first, so at most
     n + 1 vectors are held at once: the current one and, per level, the
     siblings still to visit.  None is kept of the last level (only its
-    weights are read) or that is exactly zero (off an eigenstate's path):
-    every branch below one weighs 0.0, which is what its vdot would give.
+    weights are read) or that weighs 0.0 (off an eigenstate's path, or
+    underflowed): every branch below one reads 0.0, so no child outweighs it.
     """
     levels = system.size
     weights = [np.zeros(2 ** i) for i in range(levels + 1)]
@@ -113,7 +113,7 @@ def _branch_weights(system: PropositionSystem, state: np.ndarray) -> list[np.nda
         yes = system.apply(i, v)
         for k, b in ((2 * j, yes), (2 * j + 1, v - yes)):
             weights[i + 1][k] = np.real(np.vdot(b, b))
-            if i + 1 < levels and (weights[i + 1][k] or b.any()):
+            if i + 1 < levels and weights[i + 1][k]:
                 stack.append((i + 1, k, b))
     return weights
 
@@ -122,11 +122,11 @@ def _measured_weights(system: PropositionSystem, state, tol: float) -> list[np.n
     """The branch weights of a normalized state, checked to sum to 1."""
     v = _as_state(system, state)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
+    if not _within(abs(norm - 1.0), tol):
         raise ValueError(f"state is not normalized (norm {norm:.17g})")
     weights = _branch_weights(system, v)
     total = float(weights[-1].sum())
-    if abs(total - 1.0) > max(tol, BRANCH_SUM_FLOOR):
+    if not _within(abs(total - 1.0), max(tol, BRANCH_SUM_FLOOR)):
         raise ValueError(
             f"branch weights sum to {total:.17g}; system is not certified")
     return weights

@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, EigenbasisError, commutator_norm, is_projector, max_abs,
-                     quotient_bits)
+from .linalg import (DEFAULT_TOL, EigenbasisError, _within, commutator_norm, is_projector,
+                     max_abs, quotient_bits)
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -84,7 +84,7 @@ class PropositionSystem:
         """(i, j, commutator norm) for each 1-based pair i < j that fails to commute."""
         norms = ((i + 1, j + 1, commutator_norm(self.projectors[i], self.projectors[j]))
                  for i, j in itertools.combinations(range(self.size), 2))
-        return [(i, j, c) for i, j, c in norms if c > tol]
+        return [(i, j, c) for i, j, c in norms if not _within(c, tol)]
 
     def _projector_traces(self, tol: float) -> list[tuple[bool, complex]]:
         """(is a projector within tol, trace) of each projector."""
@@ -101,7 +101,7 @@ class PropositionSystem:
         rows = []
         for i, proj in enumerate(self.projectors, start=1):
             d = np.diag(proj)
-            if max_abs(proj - np.diag(d)) > tol:
+            if not _within(max_abs(proj - np.diag(d)), tol):
                 raise ValueError(f"projector {i} is not diagonal")
             try:
                 rows.append(quotient_bits(d, tol))
@@ -253,9 +253,9 @@ def _certification_failures(system: PropositionSystem, tol: float,
     for i, (projector, trace) in enumerate(system._projector_traces(tol), start=1):
         if not projector:
             failures.append(f"projector {i} is not a projector within {tol}")
-        if abs(trace - half) > tol:
+        if not _within(abs(trace - half), tol):
             failures.append(f"projector {i} has trace {trace:.17g}, expected {half}")
-    failures.extend(f"projectors {i} and {j} do not commute (norm {c:.3e})"
+    failures.extend(f"projectors {i} and {j} do not commute (norm {c:.17g})"
                     for i, j, c in noncommuting)
     return failures
 
@@ -293,7 +293,7 @@ def _requirement_report(codes: np.ndarray,
     (iii) counted on the (N, k) 0/1 answer codes.  Column i, with c_i ones, splits the
     basis into [N - c_i, c_i]; columns i and j, with b_ij ones in common, split it into
     [N - c_i - c_j + b_ij, c_i - b_ij, c_j - b_ij, b_ij]."""
-    failures = [f"(i) projectors {i},{j} do not commute (norm {c:.3e})"
+    failures = [f"(i) projectors {i},{j} do not commute (norm {c:.17g})"
                 for i, j, c in noncommuting]
 
     size, ones = len(codes), codes.sum(0).tolist()

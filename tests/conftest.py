@@ -36,3 +36,20 @@ def dyadic_complex(max_dim: int = 3):
             hnp.arrays(np.int64, (dim, dim), elements=ints),
         ).map(lambda parts: (parts[0] + 1j * parts[1]) / 4.0)
     return st.integers(1, max_dim).flatmap(build)
+
+
+def every_branch_weights(system, state) -> list[np.ndarray]:
+    """The branch-weight tree of sieve._branch_weights, walking every branch, none pruned."""
+    weights = [np.zeros(2 ** i) for i in range(system.size + 1)]
+    weights[0][0] = np.real(np.vdot(state, state))
+
+    def visit(i, j, v):
+        yes = system.apply(i, v)
+        for k, b in ((2 * j, yes), (2 * j + 1, v - yes)):
+            weights[i + 1][k] = np.real(np.vdot(b, b))
+            if i + 1 < system.size:
+                visit(i + 1, k, b)
+
+    if system.size:
+        visit(0, 0, state)
+    return weights

@@ -199,7 +199,7 @@ class TestOneCodePassPerCommand:
 
 def reference_requirement_report(codes, noncommuting):
     """Requirements (ii) and (iii) as one bincount per column and per pair of columns."""
-    failures = [f"(i) projectors {i},{j} do not commute (norm {c:.3e})"
+    failures = [f"(i) projectors {i},{j} do not commute (norm {c:.17g})"
                 for i, j, c in noncommuting]
     co_measurable = not failures
 

@@ -57,7 +57,7 @@ def former_certify_system(system, tol):
         trace = complex(np.sum(p) if p.ndim == 1 else np.trace(p))
         if abs(trace - half) > tol:
             failures.append(f"projector {i} has trace {trace:.17g}, expected {half}")
-    failures.extend(f"projectors {i} and {j} do not commute (norm {c:.3e})"
+    failures.extend(f"projectors {i} and {j} do not commute (norm {c:.17g})"
                     for i, j, c in former_noncommuting_pairs(system, tol))
     return failures
 

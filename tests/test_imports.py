@@ -164,6 +164,21 @@ def test_the_cli_gives_openblas_a_short_thread_timeout(preset, seen):
     assert proc.stdout.strip() == seen
 
 
+def test_numpy_loads_after_the_openblas_default_is_set():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(SRC)
+    spy = ("import os, sys\n"
+           "class Spy:\n"
+           "    def find_spec(self, name, path=None, target=None):\n"
+           "        if name == 'numpy':\n"
+           "            print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+           "sys.meta_path.insert(0, Spy())\n"
+           "import statesieve.cli\n")
+    proc = subprocess.run([sys.executable, "-c", spy], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["20"]
+
+
 def test_importing_the_cli_loads_numpy():
     # benchmarks/run.py reads numpy's import time from `import statesieve.cli`
     assert "numpy" in imported("-c", "import statesieve.cli")

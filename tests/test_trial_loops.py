@@ -13,10 +13,11 @@ import pytest
 import statesieve.sieve as sieve
 import statesieve.systems as systems
 from cascade_cases import cases, digest
+from conftest import every_branch_weights
 from statesieve import (PropositionSystem, ResourceLimitError, answer_codes, count_systems,
                         enumerate_systems, ghz_basis, jsonio, measure_and_sample,
                         measure_state, naive_search, permute_system, question_count_stats,
-                        sample_detections, standard_system)
+                        sample_detections, standard_system, transformed_system)
 from statesieve.cli import main
 from statesieve.linalg import EigenbasisError, eigenvalue_bits
 
@@ -145,6 +146,44 @@ class TestCascade:
         assert peak < 1e6  # a whole level of the tree is 512 vectors, 8 MB
         reference = breadth_first_weights(system, state)
         assert [w.tobytes() for w in weights] == [w.tobytes() for w in reference]
+
+    def test_tiny_amplitudes_give_the_weights_of_every_branch(self):
+        # amplitudes near 1e-170 square to 0.0: the walk leaves their branches, and
+        # every branch below one weighs 0.0 when walked as well
+        basis, unitary = ghz_basis()
+        found = [(transformed_system(unitary, standard_system(3)), basis.vectors)]
+        for n in (1, 3, 6):
+            dim, rng = 2 ** n, np.random.default_rng(n)
+            permuted = permute_system(standard_system(n), rng.permutation(dim))
+            found += [(system, np.eye(dim)) for system in
+                      (standard_system(n), permuted, PropositionSystem(n, permuted.projectors))]
+        rng = np.random.default_rng(170)
+        for system, eigenstates in found:
+            for eigenstate in eigenstates[[0, -1]]:
+                tiny = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+                state = eigenstate + 1e-170 * tiny
+                reference = every_branch_weights(system, state)
+                weights = sieve._branch_weights(system, state)
+                assert [w.tobytes() for w in weights] == [w.tobytes() for w in reference]
+                assert measure_state(system, state).probabilities == tuple(
+                    reference[-1].tolist())
+
+    def test_a_branch_of_weight_zero_has_a_subtree_of_zeros(self):
+        # the last four amplitudes square to 0.0 one by one, but projecting them onto
+        # u = (cos t, sin t / sqrt3 (x3)) with t = pi / 6 gathers 1.5 times one into
+        # one entry, whose square is the subnormal 5e-324: the tree reads it as 0.0
+        u = np.array([np.sqrt(3) / 2, 0.5 / np.sqrt(3), 0.5 / np.sqrt(3), 0.5 / np.sqrt(3)])
+        second = np.zeros((8, 8))
+        second[:4, :4] = np.diag([1.0, 1.0, 0.0, 0.0])
+        second[4:, 4:] = np.outer(u, u)
+        system = PropositionSystem(3, [np.diag([1.0] * 4 + [0.0] * 4), second,
+                                       np.diag([1.0, 0.0] * 4)])
+        state = np.array([1.0, 0, 0, 0] + [1.55e-162] * 4, dtype=complex)
+        reference = every_branch_weights(system, state)
+        assert reference[1][1] == 0.0 and reference[2][2] == 5e-324
+        weights = sieve._branch_weights(system, state)
+        assert [w.tolist() for w in weights[1:]] == [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                                                     [1.0] + [0.0] * 7]
 
     def test_measure_and_sample_equals_the_two_calls(self):
         for name, system, state in cases():
@@ -314,8 +353,8 @@ class TestDoneOnce:
         assert main(["verify", "--file", str(path)]) == 1
         assert json.loads(capsys.readouterr().out)["failures"] == [
             "projector 1 is not a projector within 1e-10",
-            "projectors 1 and 2 do not commute (norm 1.000e-06)",
-            "(i) projectors 1,2 do not commute (norm 1.000e-06)"]
+            "projectors 1 and 2 do not commute (norm 9.9999999999999995e-07)",
+            "(i) projectors 1,2 do not commute (norm 9.9999999999999995e-07)"]
 
     def test_diagonal_codes_raise_the_per_projector_error(self):
         basis, _ = ghz_basis()
