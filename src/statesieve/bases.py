@@ -85,6 +85,15 @@ class Basis:
         linalg.eigenvalue_bits gives them on those rows of `vectors`."""
         return eigenvalue_bits(p, self.vectors[self.rows(index)], tol, projector_index, index or 1)
 
+    def _operator_codes(self, operators, tol: float, index: int | None) -> np.ndarray:
+        """The (size or 1, k) answer codes of k stored operators, column i from operator i."""
+        codes = np.zeros((self.size if index is None else 1, len(operators)), dtype=int)
+        for i, p in enumerate(operators):
+            codes[:, i] = self.eigenvalue_bits(p, tol, i + 1, index)
+        return codes
+
+    _diagonal_codes = _operator_codes  # a diagonal system's (k, N) 0/1 rows, read as operators
+
     def gram_defect(self) -> float:
         """Max deviation of the Gram matrix from the identity."""
         return max_abs(np.conj(self.vectors) @ self.vectors.T - np.eye(self.size))
@@ -112,6 +121,10 @@ class IdentityBasis(Basis):
     def eigenvalue_bits(self, p, tol=DEFAULT_TOL, projector_index=None, index=None):
         q = _rayleigh_quotients(p)[self.rows(index)]
         return quotient_bits(q, tol, projector_index, index or 1)
+
+    def _diagonal_codes(self, rows, tol, index):
+        # each 0/1 diagonal entry is its own answer: column i is diagonal i
+        return np.array(rows[:, self.rows(index)].T, dtype=int, order="C")
 
     def gram_defect(self) -> float:
         return 0.0  # unit vectors are exactly orthonormal

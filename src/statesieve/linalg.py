@@ -23,7 +23,7 @@ class LinearDependenceError(ValueError):
         self.residual = residual
         super().__init__(
             f"vector {index} is linearly dependent on the previous ones "
-            f"(residual norm {residual:.3e})"
+            f"(residual norm {residual:.17g})"
         )
 
 

@@ -91,10 +91,7 @@ class PropositionSystem:
         return [(is_projector(p, tol), complex(np.trace(p))) for p in self.projectors]
 
     def _answer_codes(self, basis: "Basis", tol: float, index: int | None) -> np.ndarray:
-        codes = np.zeros((basis.size if index is None else 1, self.size), dtype=int)
-        for i in range(self.size):
-            codes[:, i] = basis.eigenvalue_bits(self.operator(i), tol, i + 1, index)
-        return codes
+        return basis._operator_codes(self.projectors, tol, index)
 
     def _diagonal_rows(self, tol: float) -> np.ndarray:
         """The (k, N) 0/1 diagonals, refused unless each projector is diagonal and 0/1."""
@@ -139,9 +136,7 @@ class DiagonalSystem(PropositionSystem):
         return [(True, complex(np.sum(d))) for d in self.diagonals]
 
     def _answer_codes(self, basis: "Basis", tol: float, index: int | None) -> np.ndarray:
-        if basis.identity:  # each 0/1 diagonal entry is its own answer: column i is diagonal i
-            return np.array(self.diagonals[:, basis.rows(index)].T, dtype=int, order="C")
-        return super()._answer_codes(basis, tol, index)
+        return basis._diagonal_codes(self.diagonals, tol, index)
 
     def _diagonal_rows(self, tol: float) -> np.ndarray:
         return self.diagonals

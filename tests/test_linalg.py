@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,14 @@ class TestGramSchmidt:
         with pytest.raises(LinearDependenceError) as err:
             gram_schmidt([v1, v2, v1 + v2])
         assert err.value.index == 2
+
+    def test_the_printed_residual_parses_back_to_the_refused_value(self):
+        v1 = np.array([1, 1, 0], dtype=complex) / np.sqrt(2)
+        v2 = np.array([1, 0, 0], dtype=complex)
+        with pytest.raises(LinearDependenceError) as err:
+            gram_schmidt([v1, v2, v1 + v2 + 1e-12 * np.array([0, 0, 1])])
+        printed = re.fullmatch(r".*\(residual norm (\S+)\)", str(err.value)).group(1)
+        assert err.value.index == 2 and float(printed) == err.value.residual > 0
 
     def test_empty_input_gives_empty_output(self):
         assert gram_schmidt([]) == []

@@ -5,7 +5,9 @@ NaN deviation fails at every site and its message shows the NaN.  The reference
 functions below keep the former comparisons (`deviation > tol` for a failure) and
 must give the same verdicts on every finite system.  Tests that feed inf or NaN
 silence numpy's floating-point warnings themselves, so that the suite also runs
-with RuntimeWarning as an error.
+with RuntimeWarning as an error.  A second source scan pins the rule that the basis
+reads answer codes from the stored form a system hands it: no module asks a basis
+whether it is the identity.
 """
 
 import ast
@@ -155,6 +157,25 @@ class TestWithin:
                             for op in node.ops):
                         names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
                         assert "tol" not in names, (module.__name__, func.name, node.lineno)
+
+
+class TestStoredForms:
+    def test_no_module_reads_whether_a_basis_is_the_identity(self):
+        # `identity` is a class-level flag in bases.py that tests read; in the package
+        # a system hands its stored form to the basis, and the basis's class decides
+        reads, definitions = [], []
+        for path in sorted(Path(systems.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr == "identity"
+                        or isinstance(node, ast.Constant) and node.value == "identity"):
+                    reads.append((path.name, node.lineno))
+                elif isinstance(node, ast.ClassDef):
+                    definitions += [(path.name, node.name) for stmt in node.body
+                                    if isinstance(stmt, ast.Assign) and any(
+                                        isinstance(t, ast.Name) and t.id == "identity"
+                                        for t in stmt.targets)]
+        assert reads == []
+        assert definitions == [("bases.py", "Basis"), ("bases.py", "IdentityBasis")]
 
 
 class TestNanFails:
