@@ -26,7 +26,8 @@ class Basis:
     """Ordered orthonormal basis: row k of `vectors` is the (k + 1)-th state.
 
     `Basis(vectors, labels)` holds the dense (size, dim) array.  The standard basis is an
-    `IdentityBasis` (`identity` is True), which builds `vectors` and `labels` only when read.
+    `IdentityBasis` (`identity` is True), which builds its own `vectors`, and `labels`
+    from `label`, only when read.
     """
 
     __slots__ = ("_shape", "_vectors", "_labels")
@@ -42,15 +43,12 @@ class Basis:
 
     @property
     def vectors(self) -> np.ndarray:
-        """The dense complex (size, dim) array, built once from the identity form if needed."""
-        if self._vectors is None:
-            _check_n(self.dim.bit_length() - 1, force=True, ceiling="MAX_N")
-            self._vectors = np.eye(self.dim, dtype=complex)
+        """The dense complex (size, dim) array."""
         return self._vectors
 
     @property
     def labels(self) -> Sequence[str]:
-        """One label per state; the identity form's are built once, from `label`."""
+        """One label per state; a form that stores none builds them once, from `label`."""
         if self._labels is None:
             self._labels = tuple(self.label(k) for k in range(1, self.size + 1))
         return self._labels
@@ -69,7 +67,8 @@ class Basis:
 
     def rows(self, k: int | None = None) -> slice:
         """Rows of basis state k (1-based), or of all for None, after the one range check."""
-        if k is not None and not 1 <= k <= self.size:
+        if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+                              or not 1 <= k <= self.size):
             raise ValueError(f"index must be in 1..{self.size}, got {k}")
         return slice(None) if k is None else slice(k - 1, k)
 
@@ -109,6 +108,14 @@ class IdentityBasis(Basis):
 
     def __init__(self, dim: int):
         self._shape, self._vectors, self._labels = (dim, dim), None, None
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The N unit vectors as the dense identity, built once (n <= MAX_N, force or not)."""
+        if self._vectors is None:
+            _check_n(self.dim.bit_length() - 1, force=True, ceiling="MAX_N")
+            self._vectors = np.eye(self.dim, dtype=complex)
+        return self._vectors
 
     def label(self, k: int) -> str:
         return ket_label(self.rows(k).start, self.dim.bit_length() - 1)

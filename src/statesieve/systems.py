@@ -40,7 +40,7 @@ class PropositionSystem:
 
     `PropositionSystem(n, projectors)` holds dense matrices.  Every standard, permuted,
     enumerated or `system_from_diagonals` system is a `DiagonalSystem`, which keeps its
-    (n, N) 0/1 `diagonals` (None here) and builds `projectors` only when asked for them.
+    (n, N) 0/1 `diagonals` (None here) and builds its own `projectors` only when asked.
     """
 
     __slots__ = ("n", "_projectors")
@@ -57,11 +57,7 @@ class PropositionSystem:
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
-        """The dense complex N x N matrices, built once from the diagonals if needed
-        (n <= MAX_N, force or not)."""
-        if self._projectors is None:
-            _check_n(self.n, force=True, ceiling="MAX_N")
-            self._projectors = tuple(np.diag(row.astype(complex)) for row in self.diagonals)
+        """The dense complex N x N matrices."""
         return self._projectors
 
     @property
@@ -71,10 +67,6 @@ class PropositionSystem:
     @property
     def size(self) -> int:
         return len(self._projectors)
-
-    def operator(self, i: int) -> np.ndarray:
-        """Projector i (0-based) as stored: a dense matrix, or a 1-D 0/1 diagonal."""
-        return self.projectors[i]
 
     def apply(self, i: int, v: np.ndarray) -> np.ndarray:
         """Projector i (0-based) applied to v."""
@@ -120,11 +112,16 @@ class DiagonalSystem(PropositionSystem):
         diagonals.flags.writeable = False
 
     @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """The dense N x N matrices, built once from the diagonals (n <= MAX_N, force or not)."""
+        if self._projectors is None:
+            _check_n(self.n, force=True, ceiling="MAX_N")
+            self._projectors = tuple(np.diag(row.astype(complex)) for row in self.diagonals)
+        return self._projectors
+
+    @property
     def size(self) -> int:
         return len(self.diagonals)
-
-    def operator(self, i: int) -> np.ndarray:
-        return self.diagonals[i]
 
     def apply(self, i: int, v: np.ndarray) -> np.ndarray:
         return self.diagonals[i] * v
@@ -361,9 +358,11 @@ def permute_system(system: PropositionSystem,
     permute(S, q o p).
     """
     diags = system._diagonal_rows(tol)
-    p, size = np.asarray(perm, dtype=int), diags.shape[1]
+    p, size = np.asarray(perm), diags.shape[1]
     if p.shape != (size,):
         raise ValueError(f"permutation must have length {size}, got {p.shape}")
+    if p.dtype.kind not in "iu":  # a bool, float or string entry is no position
+        raise ValueError(f"permutation entries must be integers, got dtype {p.dtype}")
     if sorted(p.tolist()) != list(range(size)):
         raise ValueError("permutation is not a bijection on 0..N-1")
     out = np.empty_like(diags)

@@ -363,8 +363,10 @@ class TestDenseOutputsKeepTheirLimit:
         def refuse(*args):
             raise AssertionError("dense array built")
 
-        monkeypatch.setattr(systems.PropositionSystem, "projectors", property(refuse))
-        monkeypatch.setattr(bases.Basis, "vectors", property(refuse))
+        for form in (systems.PropositionSystem, systems.DiagonalSystem):
+            monkeypatch.setattr(form, "projectors", property(refuse))
+        for form in (bases.Basis, bases.IdentityBasis):
+            monkeypatch.setattr(form, "vectors", property(refuse))
         for form in (bases.Basis, bases.IdentityBasis):
             monkeypatch.setattr(form, "vector", refuse)
 

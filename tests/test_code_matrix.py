@@ -140,7 +140,7 @@ def general_answer_codes(system, basis):
     """answer_codes as it reads any system on any basis: one eigenvalue_bits pass per projector."""
     codes = np.zeros((basis.size, system.size), dtype=int)
     for i in range(system.size):
-        codes[:, i] = basis.eigenvalue_bits(system.operator(i), projector_index=i + 1)
+        codes[:, i] = basis.eigenvalue_bits(system.diagonals[i], projector_index=i + 1)
     return codes
 
 

@@ -107,14 +107,10 @@ class TestAgainstDenseTwin:
 @pytest.fixture
 def dense_forbidden(monkeypatch):
     """Fail if any diagonal system builds its dense projectors."""
-    dense = PropositionSystem.projectors
+    def refuse(self):
+        raise AssertionError("dense projectors built for a diagonal system")
 
-    def guarded(self):
-        if self.diagonals is not None:
-            raise AssertionError("dense projectors built for a diagonal system")
-        return dense.fget(self)
-
-    monkeypatch.setattr(PropositionSystem, "projectors", property(guarded))
+    monkeypatch.setattr(systems.DiagonalSystem, "projectors", property(refuse))
 
 
 @pytest.mark.usefixtures("dense_forbidden")

@@ -178,7 +178,6 @@ def test_systems_methods_give_the_former_bytes(case):
     assert type(system) is form
     assert system.size == former_size(system)
     for i in range(system.size):
-        same(system.operator, lambda i: former_operator(system, i), i)
         same(system.apply, lambda i, v: former_apply(system, i, v), i, v)
     for tol in (DEFAULT_TOL, 0.0):
         same(lambda: system._noncommuting_pairs(tol),
@@ -201,7 +200,7 @@ def test_basis_methods_give_the_former_bytes(case):
         same(basis.vector, lambda k: former_vector(basis, k), k)
     same(basis.gram_defect, lambda: former_gram_defect(basis))
     for i in range(system.size):
-        for p in (system.operator(i), system.projectors[i]):  # the stored and the dense form
+        for p in (former_operator(system, i), system.projectors[i]):  # the stored and the dense form
             for index in (None, 1, basis.size):
                 same(basis.eigenvalue_bits,
                      lambda *args: former_basis_eigenvalue_bits(basis, *args),

@@ -112,11 +112,25 @@ class TestIdentityForm:
         system = standard_system(3)
         for basis in (standard_basis(3), dense_twin(standard_basis(3))):
             for read in (basis.rows, basis.vector, basis.label,
-                         lambda k: basis.eigenvalue_bits(system.operator(0), index=k),
+                         lambda k: basis.eigenvalue_bits(system.diagonals[0], index=k),
                          lambda k: answer_codes(system, basis, index=k),
                          lambda k: route_basis_state(system, basis, k)):
                 with pytest.raises(ValueError, match=rf"^index must be in 1\.\.8, got {k}$"):
                     read(k)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, np.True_, "1"])
+    def test_an_index_that_is_not_an_integer_is_out_of_range(self, k):
+        # 1.5 used to end in numpy's slice TypeError, and True to read as state 1
+        system = standard_system(3)
+        for basis in (standard_basis(3), dense_twin(standard_basis(3))):
+            for read in (basis.rows, basis.vector, basis.label,
+                         lambda k: basis.eigenvalue_bits(system.diagonals[0], index=k),
+                         lambda k: answer_codes(system, basis, index=k),
+                         lambda k: route_basis_state(system, basis, k)):
+                with pytest.raises(ValueError) as err:
+                    read(k)
+                assert str(err.value) == f"index must be in 1..8, got {k}"
+            assert basis.vector(np.int64(3)).tobytes() == basis.vector(3).tobytes()
 
     @pytest.mark.parametrize("key, n", [("standard", n) for n in range(1, 7)]
                              + [("ghz", 3), ("w", 3), ("equal_weight", 3)])
@@ -140,10 +154,11 @@ class TestIdentityForm:
 
 @pytest.fixture
 def dense_vectors_refused(monkeypatch):
-    """Fail the test if anything reads `Basis.vectors`."""
+    """Fail the test if anything reads the vectors of a basis, dense or identity form."""
     def refuse(self):
         raise AssertionError("basis.vectors was read")
-    monkeypatch.setattr(Basis, "vectors", property(refuse))
+    for form in (Basis, bases.IdentityBasis):
+        monkeypatch.setattr(form, "vectors", property(refuse))
 
 
 @pytest.mark.parametrize("argv, code", [

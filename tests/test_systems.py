@@ -225,6 +225,14 @@ class TestPermute:
         with pytest.raises(ValueError, match="bijection"):
             permute_system(standard_system(2), [0, 0, 1, 2])
 
+    @pytest.mark.parametrize("perm, dtype", [([1.9, 0.2], "float64"), ([True, False], "bool"),
+                                             (["1", "0"], "<U1")])
+    def test_rejects_entries_that_are_not_integers(self, perm, dtype):
+        # a float used to truncate to a position: [1.9, 0.2] read as the swap [1, 0]
+        with pytest.raises(ValueError) as err:
+            permute_system(standard_system(1), perm)
+        assert str(err.value) == f"permutation entries must be integers, got dtype {dtype}"
+
     @given(p=permutations_of(4), q=permutations_of(4))
     @settings(max_examples=60, deadline=None)
     def test_group_action(self, p, q):

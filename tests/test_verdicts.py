@@ -7,7 +7,9 @@ must give the same verdicts on every finite system.  Tests that feed inf or NaN
 silence numpy's floating-point warnings themselves, so that the suite also runs
 with RuntimeWarning as an error.  A second source scan pins the rule that the basis
 reads answer codes from the stored form a system hands it: no module asks a basis
-whether it is the identity.
+whether it is the identity.  A third pins that each stored form builds its own dense
+view: only `DiagonalSystem` reads `diagonals`, and only `IdentityBasis` builds the
+identity vectors.
 """
 
 import ast
@@ -176,6 +178,33 @@ class TestStoredForms:
                                         for t in stmt.targets)]
         assert reads == []
         assert definitions == [("bases.py", "Basis"), ("bases.py", "IdentityBasis")]
+
+    def test_each_stored_form_builds_its_own_dense_view(self):
+        # a form that forgot its dense view would otherwise read as another form's
+        def owned(node, owner=""):
+            """(node, "Class.method" or "function" around it) for each node under node."""
+            for child in ast.iter_child_nodes(node):
+                name = owner
+                if isinstance(child, ast.ClassDef):
+                    name = child.name
+                elif isinstance(child, ast.FunctionDef):
+                    name = f"{owner}.{child.name}" if owner else child.name
+                yield child, name
+                yield from owned(child, name)
+
+        diagonal_reads, eyes = [], []
+        for path in sorted(Path(systems.__file__).parent.glob("*.py")):
+            for node, owner in owned(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr == "diagonals"
+                        and isinstance(node.ctx, ast.Load)
+                        and not owner.startswith("DiagonalSystem.")):
+                    diagonal_reads.append((path.name, node.lineno, owner))
+                if (path.name == "bases.py" and isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute) and node.func.attr == "eye"):
+                    eyes.append(owner)
+        assert diagonal_reads == []
+        assert sorted(eyes) == ["Basis.gram_defect", "IdentityBasis.vectors"]
+        assert not hasattr(PropositionSystem, "operator")
 
 
 class TestNanFails:
