@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .linalg import _whole
 
 # numpy's SeedSequence hash constants and PCG64's 128-bit multiplier as (high, low) words
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -119,7 +120,7 @@ def seed_batches(seed: int, trials: int) -> Iterator[tuple[int, int]]:
     lowest 32-bit word.  A seed that default_rng rejects raises its error;
     a valid one never imports numpy.random.
     """
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (_whole(seed) and seed >= 0):
         np.random.SeedSequence(seed)  # raises default_rng's error for a bad seed
     first = operator.index(seed)
     stop = first + trials

@@ -18,8 +18,10 @@ import numpy as np
 
 from ._catalog import BASIS_KEYS
 from .linalg import (DEFAULT_TOL, as_matrix, dagger, eigenvalue_bits, is_unitary, max_abs,
-                     quotient_bits, _rayleigh_quotients)
+                     quotient_bits, _rayleigh_quotients, _whole)
 from .systems import PropositionSystem, _check_n
+
+_ZERO_TOL, _RATIO_TOL = 1e-9, 1e-6  # combo_label's zero amplitude and its ratio tolerance
 
 
 class Basis:
@@ -48,9 +50,6 @@ class Basis:
 
     @property
     def labels(self) -> Sequence[str]:
-        """One label per state; a form that stores none builds them once, from `label`."""
-        if self._labels is None:
-            self._labels = tuple(self.label(k) for k in range(1, self.size + 1))
         return self._labels
 
     def label(self, k: int) -> str:
@@ -67,8 +66,7 @@ class Basis:
 
     def rows(self, k: int | None = None) -> slice:
         """Rows of basis state k (1-based), or of all for None, after the one range check."""
-        if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer))
-                              or not 1 <= k <= self.size):
+        if k is not None and not (_whole(k) and 1 <= k <= self.size):
             raise ValueError(f"index must be in 1..{self.size}, got {k}")
         return slice(None) if k is None else slice(k - 1, k)
 
@@ -116,6 +114,11 @@ class IdentityBasis(Basis):
             _check_n(self.dim.bit_length() - 1, force=True, ceiling="MAX_N")
             self._vectors = np.eye(self.dim, dtype=complex)
         return self._vectors
+
+    @property
+    def labels(self) -> Sequence[str]:  # built once, from `label`
+        self._labels = self._labels or tuple(self.label(k) for k in range(1, self.size + 1))
+        return self._labels
 
     def label(self, k: int) -> str:
         return ket_label(self.rows(k).start, self.dim.bit_length() - 1)
@@ -175,7 +178,7 @@ def _sqrt_string(d: int) -> str:
     return f"{a}{root}" if a > 1 else root
 
 
-def combo_label(vec: np.ndarray, n: int, tol: float = 1e-9) -> str:
+def combo_label(vec: np.ndarray, n: int) -> str:
     """Render a vector as a signed integer combination of product kets.
 
     Works for vectors whose nonzero amplitudes are small integer multiples
@@ -183,10 +186,10 @@ def combo_label(vec: np.ndarray, n: int, tol: float = 1e-9) -> str:
     empty string when the pattern does not apply.
     """
     v = np.asarray(vec, dtype=complex)
-    if max_abs(np.imag(v)) > tol:
+    if max_abs(np.imag(v)) > _ZERO_TOL:
         return ""
     r = np.real(v)
-    nonzero = [k for k in range(r.size) if abs(r[k]) > tol]
+    nonzero = [k for k in range(r.size) if abs(r[k]) > _ZERO_TOL]
     if not nonzero:
         return ""
     base = min(abs(r[k]) for k in nonzero)
@@ -194,11 +197,11 @@ def combo_label(vec: np.ndarray, n: int, tol: float = 1e-9) -> str:
     for k in nonzero:
         c = r[k] / base
         ci = round(c)
-        if abs(c - ci) > 1e-6 or ci == 0:
+        if abs(c - ci) > _RATIO_TOL or ci == 0:
             return ""
         coeffs[k] = ci
     d = sum(c * c for c in coeffs.values())
-    if abs(base - 1.0 / math.sqrt(d)) > 1e-6:
+    if abs(base - 1.0 / math.sqrt(d)) > _RATIO_TOL:
         return ""
     terms = ""
     for k in nonzero:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import _whole, as_vector
 
 if TYPE_CHECKING:  # annotations only, so importing jsonio loads none of these
     from .bases import Basis
@@ -43,11 +43,10 @@ def _field(obj: Any, name: str, what: str) -> Any:
 
 def _int_field(obj: Any, name: str, what: str, high: int | None = None) -> int:
     value = _field(obj, name, what)
-    if (isinstance(value, bool) or not isinstance(value, int) or value < 1
-            or (high is not None and value > high)):
+    if not _whole(value) or value < 1 or (high is not None and value > high):
         limit = f" in 1..{high}" if high is not None else " >= 1"
         raise ValueError(f"{what} field {name!r} must be an integer{limit}, got {value!r}")
-    return value
+    return int(value)
 
 
 def matrix_from_json(obj: Any) -> np.ndarray:

@@ -90,6 +90,10 @@ def _within(deviation, tol: float):
     return deviation <= tol
 
 
+def _whole(value) -> bool:  # the one whole-number rule, for each n, index, count and seed
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
     """True iff ||U^dag U - I||_max <= tol."""
     u = as_matrix(u)

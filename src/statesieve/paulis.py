@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ._catalog import CERECEDA_AXES, PAULI_AXES
-from .linalg import tensor
+from .linalg import _whole, tensor
 from .systems import PropositionSystem, _check_n
 
 _PAULI = dict(zip(PAULI_AXES, (np.array([[0, 1], [1, 0]], dtype=complex),
@@ -42,7 +42,7 @@ def embed(axis: str, site: int, n: int) -> np.ndarray:
     Returns I_{2^(site-1)} (x) sigma_axis (x) I_{2^(n-site)}, dimension 2^n.
     """
     _check_n(n, ceiling="MAX_N")
-    if not 1 <= site <= n:
+    if not (_whole(site) and 1 <= site <= n):
         raise ValueError(f"site must be in 1..{n}, got {site}")
     m = pauli(axis)
     if site > 1:

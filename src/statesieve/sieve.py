@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _within, as_vector
+from .linalg import DEFAULT_TOL, _whole, _within, as_vector
 from .systems import PropositionSystem, _check_n, answer_codes
 
 if TYPE_CHECKING:
@@ -133,6 +133,8 @@ def _measured_weights(system: PropositionSystem, state, tol: float) -> list[np.n
 
 
 def _check_trials(trials: int) -> None:
+    if not _whole(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
@@ -182,7 +184,7 @@ def naive_search(n: int, target_index: int, question_order: Sequence[int],
     noes; infer_last drops that forced question.
     """
     dim = _check_n(n, force=True)
-    if not 1 <= target_index <= dim:
+    if not (_whole(target_index) and 1 <= target_index <= dim):
         raise ValueError(f"target_index must be in 1..{dim}, got {target_index}")
     order = list(question_order)
     if len(order) != dim or sorted(order) != list(range(1, dim + 1)):
@@ -190,7 +192,7 @@ def naive_search(n: int, target_index: int, question_order: Sequence[int],
     asked = order.index(target_index) + 1  # the target's 1-based place in the order
     if infer_last and asked == dim:
         asked = dim - 1
-    return QuestionCountRecord(target_index, asked, "naive")
+    return QuestionCountRecord(int(target_index), asked, "naive")
 
 
 def question_count_stats(n: int, trials: int, seed: int,
@@ -210,6 +212,6 @@ def question_count_stats(n: int, trials: int, seed: int,
     _check_trials(trials)
     from . import _trials
     total, worst = _trials.question_counts(n, trials, seed, infer_last)
-    naive = StrategyStats("naive", n, trials, seed, total / trials, worst)
-    sieve = StrategyStats("sieve", n, trials, seed, float(n), n)
-    return StatsSummary(naive, sieve)
+    n, trials, seed = int(n), int(trials), int(seed)  # the records hold Python ints
+    return StatsSummary(StrategyStats("naive", n, trials, seed, total / trials, worst),
+                        StrategyStats("sieve", n, trials, seed, float(n), n))

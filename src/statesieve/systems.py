@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, EigenbasisError, _within, commutator_norm, is_projector,
-                     max_abs, quotient_bits)
+from .linalg import (DEFAULT_TOL, EigenbasisError, _whole, _within, commutator_norm,
+                     is_projector, max_abs, quotient_bits)
 
 if TYPE_CHECKING:
     from .bases import Basis
@@ -181,10 +181,12 @@ class MinimalityReport(NamedTuple):
 
 
 def _check_n(n: int, force: bool = False, ceiling: str = "INDEX_MAX_N") -> int:
-    """N = 2^n after the one size guard: 1 <= n <= INDEX_MAX_N, n <= MAX_N unless
-    forced, and n <= the ceiling, the name of a constant read at call time, even if
-    forced.  The refusal without force offers force only where force lifts it."""
+    """N = 2^n, a Python int, after the one size guard: a whole 1 <= n <= INDEX_MAX_N,
+    n <= MAX_N unless forced, and n <= the ceiling, the name of a constant read at call
+    time, even if forced.  The refusal without force offers force only where force lifts it."""
     limit = globals()[ceiling]
+    if not _whole(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > INDEX_MAX_N:
@@ -195,7 +197,7 @@ def _check_n(n: int, force: bool = False, ceiling: str = "INDEX_MAX_N") -> int:
     if n > limit:
         raise ValueError(f"n = {n} exceeds {ceiling} = {limit}, the largest n whose "
                          f"{_CEILINGS[ceiling]} are built, even with force")
-    return 2 ** n
+    return 2 ** int(n)
 
 
 def standard_diagonals(n: int, force: bool = False) -> np.ndarray:
@@ -375,8 +377,7 @@ def _check_enumeration(n: int, limit: int | None, force: bool,
     """N = 2^n after the size guard, the limit check and the full-enumeration
     guard: all N! systems are refused for n > 3 unless a limit or force is given."""
     dim = _check_n(n, force, ceiling)
-    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, (int, np.integer))
-                              or limit < 0):
+    if limit is not None and not (_whole(limit) and limit >= 0):
         raise ValueError(f"limit must be None or an integer >= 0, got {limit!r}")
     if limit is None and n > FULL_ENUM_MAX_N and not force:
         raise ResourceLimitError(

@@ -9,7 +9,7 @@ with RuntimeWarning as an error.  A second source scan pins the rule that the ba
 reads answer codes from the stored form a system hands it: no module asks a basis
 whether it is the identity.  A third pins that each stored form builds its own dense
 view: only `DiagonalSystem` reads `diagonals`, and only `IdentityBasis` builds the
-identity vectors.
+identity vectors and labels (every other `labels` reads the stored ones).
 """
 
 import ast
@@ -192,9 +192,16 @@ class TestStoredForms:
                 yield child, name
                 yield from owned(child, name)
 
-        diagonal_reads, eyes = [], []
+        diagonal_reads, eyes, label_builds = [], [], set()
         for path in sorted(Path(systems.__file__).parent.glob("*.py")):
             for node, owner in owned(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name == "labels" and [
+                        ast.unparse(s) for s in node.body if not isinstance(s, ast.Expr)
+                ] != ["return self._labels"]:
+                    label_builds.add((path.name, owner))
+                if (isinstance(node, ast.Attribute) and node.attr == "_labels"
+                        and isinstance(node.ctx, ast.Store) and not owner.endswith(".__init__")):
+                    label_builds.add((path.name, owner))
                 if (isinstance(node, ast.Attribute) and node.attr == "diagonals"
                         and isinstance(node.ctx, ast.Load)
                         and not owner.startswith("DiagonalSystem.")):
@@ -204,6 +211,7 @@ class TestStoredForms:
                     eyes.append(owner)
         assert diagonal_reads == []
         assert sorted(eyes) == ["Basis.gram_defect", "IdentityBasis.vectors"]
+        assert label_builds == {("bases.py", "IdentityBasis.labels")}
         assert not hasattr(PropositionSystem, "operator")
 
 

@@ -1,0 +1,161 @@
+"""One whole-number rule: every n, index, count and seed the library takes is an int or
+a numpy integer, never a bool, as `linalg._whole` decides.
+
+The table holds the sites that take one: a basis index (`Basis.rows`), an enumeration
+limit, a JSON `n`/`rows`/`cols` field, n itself (`systems._check_n`), a naive-search
+target, a trial count and a Pauli site.  Each refuses a float or a bool with a
+ValueError that names the value, and reads a numpy integer as the Python int it equals.
+Seeds follow `np.random.default_rng`, which takes a bool (tests/test_seeding.py pins
+both that and its errors), so their row compares with it.  A source scan pins that the
+predicate is the only integer-type test in the package.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from statesieve import (count_systems, enumerate_systems, linalg, measure_and_sample,
+                        named_basis, naive_search, question_count_stats, sample_detections,
+                        standard_basis, standard_system)
+from statesieve._trials import trial_generators
+from statesieve.bases import Basis
+from statesieve.jsonio import matrix_from_json, system_from_json, system_to_json
+from statesieve.paulis import embed
+
+BAD = [2.0, 1.5, True, np.bool_(True)]
+E1 = np.eye(4)[0]
+
+
+def dense_standard(n):
+    basis = standard_basis(n)
+    return Basis(basis.vectors, basis.labels)
+
+
+def one_projector_system(n):
+    """A JSON system with the given `n` and one 2 x 2 projector."""
+    data = [[1, 0], [0, 0], [0, 0], [0, 0]]
+    return {"n": n, "projectors": [{"rows": 2, "cols": 2, "data": data}]}
+
+
+# site -> (a good whole number, reads that take it and return bytes, a repr or a JSON text)
+SITES = {
+    "Basis.rows": (3, [
+        lambda k: standard_basis(3).vector(k).tobytes(),
+        lambda k: dense_standard(3).vector(k).tobytes(),
+        lambda k: standard_basis(3).label(k) + dense_standard(3).label(k),
+    ]),
+    "systems._check_enumeration": (5, [
+        lambda limit: repr(count_systems(3, limit)),
+        lambda limit: b"".join(s.diagonals.tobytes() for s in enumerate_systems(2, limit)),
+    ]),
+    "jsonio._int_field": (1, [
+        lambda n: json.dumps(system_to_json(system_from_json(one_projector_system(n)))),
+        lambda rows: matrix_from_json({"rows": rows, "cols": 1, "data": [[1, 0]]}).tobytes(),
+        lambda cols: matrix_from_json({"rows": 1, "cols": cols, "data": [[1, 0]]}).tobytes(),
+    ]),
+    "systems._check_n": (2, [
+        lambda n: standard_system(n).diagonals.tobytes() + repr(standard_system(n).n).encode(),
+        lambda n: repr((standard_basis(n).dim, named_basis("standard", n)[0].dim)),
+        lambda n: repr((count_systems(n), count_systems(n, 5))),
+        lambda n: repr(question_count_stats(n, 5, 0)),
+        lambda n: embed("x", 1, n).tobytes(),
+    ]),
+    "sieve.naive_search": (3, [
+        lambda k: repr(naive_search(2, k, [4, 2, 3, 1])),
+    ]),
+    "sieve._check_trials": (3, [
+        lambda trials: repr(question_count_stats(3, trials, 0)),
+        lambda trials: repr(sample_detections(standard_system(2), E1, trials, 0)),
+        lambda trials: repr(measure_and_sample(standard_system(2), E1, trials, 0)),
+    ]),
+    "paulis.embed": (2, [
+        lambda site: embed("y", site, 3).tobytes(),
+    ]),
+}
+
+
+@pytest.mark.parametrize("value", BAD, ids=repr)
+@pytest.mark.parametrize("site", SITES)
+def test_a_float_or_bool_is_refused_naming_the_value(site, value):
+    _, reads = SITES[site]
+    for read in reads:
+        with pytest.raises(ValueError) as refused:
+            read(value)
+        assert str(value) in str(refused.value)
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_a_numpy_integer_reads_as_the_python_int(site):
+    good, reads = SITES[site]
+    for read in reads:
+        assert read(np.int64(good)) == read(good)
+
+
+def outcome(call):
+    try:
+        return "ok", call()
+    except (TypeError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("seed", BAD + [np.int64(7)], ids=repr)
+def test_a_seed_is_taken_or_refused_as_default_rng_takes_it(seed):
+    expected = outcome(lambda: np.random.default_rng(seed).bit_generator.state)
+    reads = [lambda s: [g.bit_generator.state for g in trial_generators(s, 1)][0],
+             lambda s: repr(question_count_stats(2, 3, s)),
+             lambda s: repr(sample_detections(standard_system(2), E1, 3, s))]
+    for read in reads:
+        got = outcome(lambda: read(seed))
+        assert got[0] == expected[0]
+        if expected[0] == "ok":  # a taken seed draws as the int it equals
+            assert got[1] == read(int(seed))
+        else:
+            assert got[1] == expected[1]
+
+
+def test_the_refusals_of_whole_numbers_keep_their_messages():
+    assert outcome(lambda: standard_system(0)) == ("ValueError", "n must be positive, got 0")
+    assert outcome(lambda: question_count_stats(2, 0, 0)) == ("ValueError", "trials must be >= 1")
+    assert outcome(lambda: embed("x", 3, 2)) == ("ValueError", "site must be in 1..2, got 3")
+    assert outcome(lambda: naive_search(2, 5, [1, 2, 3, 4])) == (
+        "ValueError", "target_index must be in 1..4, got 5")
+    assert outcome(lambda: standard_basis(2).vector(0)) == (
+        "ValueError", "index must be in 1..4, got 0")
+    assert outcome(lambda: count_systems(2, -1)) == (
+        "ValueError", "limit must be None or an integer >= 0, got -1")
+    assert outcome(lambda: matrix_from_json({"rows": 0, "cols": 1, "data": []})) == (
+        "ValueError", "matrix field 'rows' must be an integer >= 1, got 0")
+
+
+def owned(node, owner="<module>"):
+    """(node, name of the function or class around it) for each node under node."""
+    for child in ast.iter_child_nodes(node):
+        name = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner
+        yield child, name
+        yield from owned(child, name)
+
+
+def test_the_predicate_is_the_one_integer_type_test():
+    # np.integer and an isinstance(..., bool) appear in the package only inside linalg._whole
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for node, owner in owned(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "integer":
+                found.append((path.name, owner, "np.integer"))
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(t, ast.Name) and t.id == "bool"
+                            for t in ast.walk(node.args[1]))):
+                found.append((path.name, owner, "isinstance bool"))
+    assert sorted(found) == [("linalg.py", "_whole", "isinstance bool"),
+                             ("linalg.py", "_whole", "np.integer")]
+
+
+def test_the_predicate():
+    whole = linalg._whole
+    assert all(map(whole, [0, -3, 10 ** 30, np.int64(5), np.uint8(200), np.intp(1)]))
+    assert not any(map(whole, [True, False, np.bool_(True), 2.0, 1.5, np.float64(2), "3",
+                               None, 2 + 0j, np.array(3)]))
