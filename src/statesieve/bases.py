@@ -28,12 +28,11 @@ class Basis:
     """Ordered orthonormal basis: row k of `vectors` is the (k + 1)-th state.
 
     `Basis(vectors, labels)` holds the dense (size, dim) array.  The standard basis is an
-    `IdentityBasis` (`identity` is True), which builds its own `vectors`, and `labels`
-    from `label`, only when read.
+    `IdentityBasis`, which builds its own `vectors`, and `labels` from `label`, only when
+    read.
     """
 
     __slots__ = ("_shape", "_vectors", "_labels")
-    identity = False
 
     def __init__(self, vectors, labels: Sequence[str]):
         v = np.asarray(vectors, dtype=complex)
@@ -102,7 +101,6 @@ class IdentityBasis(Basis):
     diagonal, as the dense products give them: each unit-vector factor is exactly 0 or 1."""
 
     __slots__ = ()
-    identity = True
 
     def __init__(self, dim: int):
         self._shape, self._vectors, self._labels = (dim, dim), None, None
@@ -178,8 +176,9 @@ def _sqrt_string(d: int) -> str:
     return f"{a}{root}" if a > 1 else root
 
 
-def combo_label(vec: np.ndarray, n: int) -> str:
-    """Render a vector as a signed integer combination of product kets.
+def combo_label(vec: np.ndarray) -> str:
+    """Render a vector as a signed integer combination of product kets, each
+    log2(len(vec)) signs wide.
 
     Works for vectors whose nonzero amplitudes are small integer multiples
     of a common 1/sqrt(d) factor (all catalog bases).  Falls back to an
@@ -208,7 +207,7 @@ def combo_label(vec: np.ndarray, n: int) -> str:
         c = coeffs[k]
         sign = "-" if c < 0 else ("+" if terms else "")
         mag = "" if abs(c) == 1 else str(abs(c))
-        terms += f"{sign}{mag}{ket_label(k, n)}"
+        terms += f"{sign}{mag}{ket_label(k, len(v).bit_length() - 1)}"
     if d == 1:
         return terms
     return f"({terms})/{_sqrt_string(d)}"
@@ -221,11 +220,10 @@ def standard_basis(n: int, force: bool = False) -> Basis:
     return IdentityBasis(_check_n(n, force, "STRUCTURED_MAX_N"))
 
 
-def basis_from_unitary(u: NamedUnitary, n: int,
-                       tol: float = DEFAULT_TOL) -> Basis:
+def basis_from_unitary(u: NamedUnitary, *, tol: float = DEFAULT_TOL) -> Basis:
     """Basis whose k-th vector is column k of the (certified) unitary."""
     vectors = _certified(u, tol).matrix.T.copy()
-    labels = tuple(combo_label(v, n) or f"{u.name}_{k}" for k, v in enumerate(vectors, start=1))
+    labels = tuple(combo_label(v) or f"{u.name}_{k}" for k, v in enumerate(vectors, start=1))
     return Basis(vectors, labels)
 
 
@@ -315,10 +313,10 @@ def named_basis(key: str, n: int = 3, tol: float = DEFAULT_TOL,
     makers = {"ghz": ghz_unitary, "w": w_unitary, "equal_weight": _equal_weight}
     if key not in makers:
         raise ValueError(f"unknown basis key {key!r}; expected one of {BASIS_KEYS}")
-    if n != 3:
-        raise ValueError(f"basis {key!r} is defined for n = 3, got n = {n}")
+    if not (_whole(n) and n == 3):
+        raise ValueError(f"basis {key!r} is defined for n = 3, got n = {n!r}")
     u = makers[key]()
-    return basis_from_unitary(u, 3, tol), u
+    return basis_from_unitary(u, tol=tol), u
 
 
 def transformed_system(u: NamedUnitary | np.ndarray, system: PropositionSystem,

@@ -40,20 +40,19 @@ class PropositionSystem:
 
     `PropositionSystem(n, projectors)` holds dense matrices.  Every standard, permuted,
     enumerated or `system_from_diagonals` system is a `DiagonalSystem`, which keeps its
-    (n, N) 0/1 `diagonals` (None here) and builds its own `projectors` only when asked.
+    (n, N) 0/1 `diagonals` and builds its own `projectors` only when asked.
     """
 
     __slots__ = ("n", "_projectors")
-    diagonals: np.ndarray | None = None
 
     def __init__(self, n: int, projectors: Sequence[np.ndarray]):
+        dim = _check_n(n, force=True)
         projs = tuple(np.asarray(p, dtype=complex) for p in projectors)
-        dim = 2 ** n
         for i, p in enumerate(projs):
             if p.shape != (dim, dim):
                 raise ValueError(
                     f"projector {i + 1} has shape {p.shape}, expected {(dim, dim)}")
-        self.n, self._projectors = n, projs
+        self.n, self._projectors = int(n), projs
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
@@ -394,7 +393,7 @@ def count_systems(n: int, limit: int | None = None, force: bool = False) -> int:
     Without one, n > MAX_N is refused with or without force: 2048! alone
     has more digits than Python converts to a string.
     """
-    if limit is None and MAX_N < n <= INDEX_MAX_N:
+    if limit is None and _whole(n) and MAX_N < n <= INDEX_MAX_N:
         raise ValueError(f"n = {n}: counting all {2 ** n}! systems needs a limit")
     dim = _check_enumeration(n, limit, force)
     if limit is None:

@@ -7,7 +7,7 @@ from statesieve import (Basis, PropositionSystem, ResourceLimitError, certify_sy
                         conjugate, equal_weight_basis, ghz_basis, gram_schmidt, is_projector,
                         is_unitary, named_basis, permute_system, route_basis_state, separates,
                         standard_basis, standard_system, systems, transformed_system, w_basis)
-from statesieve.bases import combo_label, ket_label
+from statesieve.bases import basis_from_unitary, combo_label, ket_label
 
 from conftest import haar_unitary
 
@@ -316,30 +316,45 @@ class TestLabels:
         v = np.zeros(8, dtype=complex)
         v[0] = S2
         v[7] = S2
-        assert combo_label(v, 3) == "(|+++>+|--->)/√2"
+        assert combo_label(v) == "(|+++>+|--->)/√2"
 
     def test_combo_renders_weighted_term(self):
         v = np.array([0, -S6, 2 * S6, -S6, 0, 0, 0, 0], dtype=complex)
-        assert combo_label(v, 3) == "(-|++->+2|+-+>-|+-->)/√6"
+        assert combo_label(v) == "(-|++->+2|+-+>-|+-->)/√6"
 
     def test_combo_gives_up_on_a_ratio_off_by_1e_3(self):
         # 2.001 is no integer multiple of the smallest amplitude, within 1e-6
-        assert combo_label(np.array([1, 2.001]) / np.sqrt(5), 1) == ""
+        assert combo_label(np.array([1, 2.001]) / np.sqrt(5)) == ""
 
     def test_combo_gives_up_on_generic_vectors(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(8)
         v /= np.linalg.norm(v)
-        assert combo_label(v, 3) == ""
+        assert combo_label(v) == ""
 
-    @pytest.mark.parametrize("vec, n, label", [
-        (np.full(4, 0.5), 2, "(|++>+|+->+|-+>+|-->)/2"),
-        (np.array([1j, 0]), 1, ""),
-        (np.zeros(4), 2, ""),
-        (np.array([1.0, 1.0]), 1, ""),
+    @pytest.mark.parametrize("vec, label", [
+        (np.full(4, 0.5), "(|++>+|+->+|-+>+|-->)/2"),
+        (np.array([1j, 0]), ""),
+        (np.zeros(4), ""),
+        (np.array([1.0, 1.0]), ""),
     ], ids=["square-factor", "complex", "zero", "unnormalized"])
-    def test_combo_edge_cases(self, vec, n, label):
-        assert combo_label(vec, n) == label
+    def test_combo_edge_cases(self, vec, label):
+        assert combo_label(vec) == label
+
+    @pytest.mark.parametrize("key", ["ghz", "w", "equal_weight"])
+    def test_a_unitary_labels_its_basis_with_kets_as_wide_as_its_vectors(self, key):
+        # the width comes from the 8-vectors: no n to pass, so none to get wrong
+        basis, u = named_basis(key)
+        labels = basis_from_unitary(u).labels
+        assert labels == basis.labels
+        kets = [k for label in labels for k in label.split("|")[1:]]
+        assert kets and all(len(k.split(">")[0]) == 3 for k in kets)
+
+    def test_basis_from_unitary_takes_its_tolerance_by_name(self):
+        _, u = named_basis("ghz")
+        with pytest.raises(TypeError):
+            basis_from_unitary(u, 3)
+        assert basis_from_unitary(u, tol=1e-12).labels == named_basis("ghz")[0].labels
 
     def test_every_catalog_label_is_nonempty(self):
         for key in ("ghz", "w", "equal_weight"):

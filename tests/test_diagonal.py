@@ -28,8 +28,8 @@ class TestForm:
     def test_built_systems_keep_their_diagonals(self):
         system = permute_system(standard_system(3), [1, 0, 2, 3, 4, 5, 6, 7])
         assert system.diagonals.shape == (3, 8) and system._projectors is None
-        assert next(enumerate_systems(2)).diagonals is not None
-        assert dense_twin(system).diagonals is None
+        assert isinstance(next(enumerate_systems(2)), systems.DiagonalSystem)
+        assert not isinstance(dense_twin(system), systems.DiagonalSystem)
 
     def test_dense_projectors_are_built_once_on_request(self):
         system = standard_system(2)

@@ -96,7 +96,8 @@ class TestIdentityForm:
 
     def test_builds_the_dense_identity_once_on_first_read(self):
         basis = standard_basis(3)
-        assert basis.identity and basis._vectors is None and basis._labels is None
+        assert isinstance(basis, bases.IdentityBasis)
+        assert basis._vectors is None and basis._labels is None
         assert basis.vectors is basis.vectors
         assert basis.vectors.dtype == complex and np.array_equal(basis.vectors, np.eye(8))
         assert basis.labels[0] == "|+++>" and basis.labels[-1] == "|--->"
@@ -137,7 +138,7 @@ class TestIdentityForm:
     def test_one_label_is_its_entry_in_labels(self, key, n):
         basis, _ = named_basis(key, n)
         labels = [basis.label(k) for k in range(1, basis.size + 1)]
-        if basis.identity:
+        if isinstance(basis, bases.IdentityBasis):
             assert basis._labels is None  # label(k) built one label, not the N
             assert labels == [ket_label(k, n) for k in range(2 ** n)]
         assert labels == list(basis.labels)
@@ -148,7 +149,7 @@ class TestIdentityForm:
     def test_vector_of_a_dense_basis_is_its_row(self):
         rows = haar_unitary(3, 4)
         basis = Basis(rows, ("a", "b", "c", "d"))
-        assert not basis.identity and basis.size == basis.dim == 4
+        assert not isinstance(basis, bases.IdentityBasis) and basis.size == basis.dim == 4
         assert [basis.vector(k).tobytes() for k in range(1, 5)] == [r.tobytes() for r in rows]
 
 

@@ -6,8 +6,9 @@ functions below keep the former comparisons (`deviation > tol` for a failure) an
 must give the same verdicts on every finite system.  Tests that feed inf or NaN
 silence numpy's floating-point warnings themselves, so that the suite also runs
 with RuntimeWarning as an error.  A second source scan pins the rule that the basis
-reads answer codes from the stored form a system hands it: no module asks a basis
-whether it is the identity.  A third pins that each stored form builds its own dense
+reads answer codes from the stored form a system hands it: a form is its class, so no
+module asks a basis whether it is the identity, and no class defines an `identity` or a
+`diagonals` flag to ask.  A third pins that each stored form builds its own dense
 view: only `DiagonalSystem` reads `diagonals`, and only `IdentityBasis` builds the
 identity vectors and labels (every other `labels` reads the stored ones).
 """
@@ -31,6 +32,7 @@ from statesieve import (Basis, MeasurementDistribution, PropositionSystem, certi
                         commutator_norm, is_projector, is_unitary, measure_state,
                         permute_system, standard_basis, standard_diagonals, verify_system)
 from statesieve import linalg, sieve, systems
+from statesieve.bases import IdentityBasis
 from statesieve.linalg import _rayleigh_quotients, _within, dagger, max_abs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,7 +80,7 @@ def former_certify(system, tol, noncommuting):
 def former_verify(system, basis, tol):
     noncommuting = former_noncommuting(system, tol)
     failures = former_certify(system, tol, noncommuting)
-    vectors = None if basis.identity else basis.vectors
+    vectors = None if isinstance(basis, IdentityBasis) else basis.vectors
     columns = []
     for i, p in enumerate(system.projectors, start=1):
         q = _rayleigh_quotients(p, vectors)
@@ -163,8 +165,8 @@ class TestWithin:
 
 class TestStoredForms:
     def test_no_module_reads_whether_a_basis_is_the_identity(self):
-        # `identity` is a class-level flag in bases.py that tests read; in the package
-        # a system hands its stored form to the basis, and the basis's class decides
+        # a form is its class: no class sets an `identity` or `diagonals` flag for a
+        # caller to read; a system hands its stored form to the basis, whose class decides
         reads, definitions = [], []
         for path in sorted(Path(systems.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -172,12 +174,16 @@ class TestStoredForms:
                         or isinstance(node, ast.Constant) and node.value == "identity"):
                     reads.append((path.name, node.lineno))
                 elif isinstance(node, ast.ClassDef):
-                    definitions += [(path.name, node.name) for stmt in node.body
-                                    if isinstance(stmt, ast.Assign) and any(
-                                        isinstance(t, ast.Name) and t.id == "identity"
-                                        for t in stmt.targets)]
+                    definitions += [(path.name, node.name, t.id) for stmt in node.body
+                                    if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                                    for t in (stmt.targets if isinstance(stmt, ast.Assign)
+                                              else [stmt.target])
+                                    if isinstance(t, ast.Name)
+                                    and t.id in ("identity", "diagonals")]
         assert reads == []
-        assert definitions == [("bases.py", "Basis"), ("bases.py", "IdentityBasis")]
+        assert definitions == []
+        assert not hasattr(Basis, "identity") and not hasattr(IdentityBasis, "identity")
+        assert not hasattr(PropositionSystem, "diagonals")
 
     def test_each_stored_form_builds_its_own_dense_view(self):
         # a form that forgot its dense view would otherwise read as another form's

@@ -2,9 +2,11 @@
 a numpy integer, never a bool, as `linalg._whole` decides.
 
 The table holds the sites that take one: a basis index (`Basis.rows`), an enumeration
-limit, a JSON `n`/`rows`/`cols` field, n itself (`systems._check_n`), a naive-search
-target, a trial count and a Pauli site.  Each refuses a float or a bool with a
-ValueError that names the value, and reads a numpy integer as the Python int it equals.
+limit, a JSON `n`/`rows`/`cols` field, n itself (`systems._check_n`, which a dense
+`PropositionSystem` meets too), a naive-search target, a trial count and a Pauli site.
+Each refuses a float or a bool with a ValueError that names the value, and reads a numpy
+integer as the Python int it equals.  The fixed catalog bases, defined at n = 3 alone,
+and `count_systems` without a limit test their n with the same predicate.
 Seeds follow `np.random.default_rng`, which takes a bool (tests/test_seeding.py pins
 both that and its errors), so their row compares with it.  A source scan pins that the
 predicate is the only integer-type test in the package.
@@ -17,9 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statesieve import (count_systems, enumerate_systems, linalg, measure_and_sample,
-                        named_basis, naive_search, question_count_stats, sample_detections,
-                        standard_basis, standard_system)
+from statesieve import (PropositionSystem, count_systems, enumerate_systems, linalg,
+                        measure_and_sample, named_basis, naive_search, question_count_stats,
+                        sample_detections, standard_basis, standard_system)
 from statesieve._trials import trial_generators
 from statesieve.bases import Basis
 from statesieve.jsonio import matrix_from_json, system_from_json, system_to_json
@@ -62,6 +64,7 @@ SITES = {
         lambda n: repr((count_systems(n), count_systems(n, 5))),
         lambda n: repr(question_count_stats(n, 5, 0)),
         lambda n: embed("x", 1, n).tobytes(),
+        lambda n: json.dumps(system_to_json(PropositionSystem(n, [np.diag([1, 1, 0, 0])]))),
     ]),
     "sieve.naive_search": (3, [
         lambda k: repr(naive_search(2, k, [4, 2, 3, 1])),
@@ -128,6 +131,30 @@ def test_the_refusals_of_whole_numbers_keep_their_messages():
         "ValueError", "limit must be None or an integer >= 0, got -1")
     assert outcome(lambda: matrix_from_json({"rows": 0, "cols": 1, "data": []})) == (
         "ValueError", "matrix field 'rows' must be an integer >= 1, got 0")
+    assert outcome(lambda: named_basis("ghz", 2)) == (
+        "ValueError", "basis 'ghz' is defined for n = 3, got n = 2")
+
+
+def test_a_dense_system_stores_its_n_as_a_python_int():
+    # a numpy n used to be stored as it came, and json.dumps could not encode it
+    system = PropositionSystem(np.int64(1), [np.diag([1, 0])])
+    assert type(system.n) is int and type(system.dim) is int
+    assert json.dumps(system_to_json(system)) == json.dumps(
+        system_to_json(PropositionSystem(1, [np.diag([1, 0])])))
+
+
+def test_a_fixed_basis_refuses_an_n_that_is_not_whole():
+    # 3.0 used to return the GHZ basis, as n != 3 was the only test
+    for key, n in [("ghz", 3.0), ("w", True), ("equal_weight", np.float64(3))]:
+        assert outcome(lambda: named_basis(key, n)) == (
+            "ValueError", f"basis {key!r} is defined for n = 3, got n = {n!r}")
+
+
+def test_count_systems_refuses_an_n_that_is_no_number():
+    # the no-limit MAX_N < n comparison used to run first, and end in a TypeError
+    for n in ("3", None):
+        assert outcome(lambda: count_systems(n)) == (
+            "ValueError", f"n must be an integer, got {n!r}")
 
 
 def owned(node, owner="<module>"):
