@@ -63,15 +63,14 @@ def _add128(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
 
 def _mul128(a: tuple[np.ndarray, np.ndarray], b: tuple[int, int]):
     """a * b mod 2^128, for a (high, low) pair of uint64 words and a constant (high, low)."""
-    m32, s32 = np.uint64(_M32), np.uint64(32)
-    a0, a1 = a[1] & m32, a[1] >> s32
+    a0, a1 = a[1] & _LOW32, a[1] >> _S32
     b0, b1 = np.uint64(b[1] & _M32), np.uint64(b[1] >> 32)
     low, mid = a0 * b0, a1 * b0
-    cross = (low >> s32) + (mid & m32) + a0 * b1
+    cross = (low >> _S32) + (mid & _LOW32) + a0 * b1
     # the high word of the 128-bit product of the low words, plus the cross terms mod 2^64
-    high = a1 * b1 + (mid >> s32) + (cross >> s32)
+    high = a1 * b1 + (mid >> _S32) + (cross >> _S32)
     return (high + a[0] * np.uint64(b[1]) + a[1] * np.uint64(b[0]),
-            (cross << s32) | (low & m32))
+            (cross << _S32) | (low & _LOW32))
 
 
 def pcg64_seedings(first: int, count: int) -> tuple[np.ndarray, ...]:
@@ -180,17 +179,17 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (word >> rot) | (word << (-rot & _ROT_MASK))
 
 
-def walk(weights: list[np.ndarray], dim: int, trials: int, seed: int) -> list[int]:
-    """Detector counts of `trials` walks down the branch-weight tree.
+def walk(weights: list[np.ndarray], trials: int, seed: int) -> list[int]:
+    """Detector counts of `trials` walks down the branch-weight tree: 2^size, one per leaf.
 
     At level i the walk at branch j says yes with probability
-    weights[i + 1][2j] / weights[i][j].  Trial t draws its n uniforms, in
-    order, as default_rng(seed + t).random(n) would; the trials of one seed
+    weights[i + 1][2j] / weights[i][j].  Trial t draws its size uniforms, in
+    order, as default_rng(seed + t).random(size) would; the trials of one seed
     batch walk together, one `Lanes` step per level.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = [below[0::2] / above for above, below in zip(weights, weights[1:])]
-    counts = np.zeros(dim, dtype=np.int64)
+    counts = np.zeros(len(weights[-1]), dtype=np.int64)
     for first, count in seed_batches(seed, trials):
         lanes = Lanes(first, count)
         j = np.zeros(count, dtype=np.intp)
@@ -199,7 +198,7 @@ def walk(weights: list[np.ndarray], dim: int, trials: int, seed: int) -> list[in
             # `~(r < yes[j])` rather than `r >= yes[j]`: a NaN ratio (0/0, below a
             # zero branch) says no
             j = 2 * j + ~(r < yes[j])
-        counts += np.bincount(j, minlength=dim)
+        counts += np.bincount(j, minlength=counts.size)
     return counts.tolist()
 
 

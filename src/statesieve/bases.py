@@ -180,12 +180,12 @@ def combo_label(vec: np.ndarray) -> str:
     """Render a vector as a signed integer combination of product kets, each
     log2(len(vec)) signs wide.
 
-    Works for vectors whose nonzero amplitudes are small integer multiples
-    of a common 1/sqrt(d) factor (all catalog bases).  Falls back to an
-    empty string when the pattern does not apply.
+    Works for vectors of power-of-two length whose nonzero amplitudes are
+    small integer multiples of a common 1/sqrt(d) factor (all catalog
+    bases).  Falls back to an empty string when the pattern does not apply.
     """
     v = np.asarray(vec, dtype=complex)
-    if max_abs(np.imag(v)) > _ZERO_TOL:
+    if v.size & (v.size - 1) or max_abs(np.imag(v)) > _ZERO_TOL:
         return ""
     r = np.real(v)
     nonzero = [k for k in range(r.size) if abs(r[k]) > _ZERO_TOL]

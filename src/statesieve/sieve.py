@@ -1,9 +1,9 @@
 """Measurement cascade: route eigenstates to detectors, Born-rule distributions,
 and question-count benchmarks for the naive per-state strategy.
 
-Detector indexing follows the strictly-decreasing code convention: the
-all-ones answer word hits detector 1 and the all-zeros word detector N,
-so with the standard system basis state k always fires detector k.
+Detectors 1..2^size of a size-proposition system follow the strictly-decreasing
+code convention: the all-ones answer word hits detector 1 and the all-zeros word
+detector 2^size, so with the standard system basis state k always fires detector k.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class DetectorOutcome(NamedTuple):
 
 
 class MeasurementDistribution(NamedTuple):
-    """Probabilities over detectors 1..N (sum to 1 for a certified system)."""
+    """Probabilities over detectors 1..2^size (sum to 1 for a certified system)."""
 
     probabilities: tuple[float, ...]
 
@@ -59,7 +59,7 @@ class StatsSummary(NamedTuple):
 
 
 def detector_for_bits(bits: Sequence[int]) -> int:
-    """Detector index N - value(bits), bits most significant first."""
+    """Detector index 2^len(bits) - value(bits), bits most significant first."""
     value = 0
     for b in bits:
         value = (value << 1) | int(b)
@@ -151,17 +151,17 @@ def measure_state(system: PropositionSystem, state,
 
 
 def sample_detections(system: PropositionSystem, state, trials: int, seed: int) -> list[int]:
-    """Monte-Carlo detector counts from sequential projective measurement.
+    """Monte-Carlo counts of the 2^size detectors from sequential projective measurement.
 
     Each trial walks the branch-weight tree: at step i the yes-branch fires
     with probability |P_i v|^2 / |v|^2 and the state collapses onto it.
-    Reproducible for a fixed seed: trial t draws its n uniforms as
-    default_rng(seed + t).random(n) would (`_trials.walk`).
+    Reproducible for a fixed seed: trial t draws its size uniforms as
+    default_rng(seed + t).random(size) would (`_trials.walk`).
     """
     v = _as_state(system, state)
     _check_trials(trials)
     from . import _trials  # on first use: commands that draw nothing never load it
-    return _trials.walk(_branch_weights(system, v), system.dim, trials, seed)
+    return _trials.walk(_branch_weights(system, v), trials, seed)
 
 
 def measure_and_sample(system: PropositionSystem, state, trials: int, seed: int,
@@ -171,7 +171,7 @@ def measure_and_sample(system: PropositionSystem, state, trials: int, seed: int,
     _check_trials(trials)
     from . import _trials
     return (MeasurementDistribution(tuple(weights[-1].tolist())),
-            _trials.walk(weights, system.dim, trials, seed))
+            _trials.walk(weights, trials, seed))
 
 
 def naive_search(n: int, target_index: int, question_order: Sequence[int],

@@ -1,4 +1,7 @@
 import math
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from statesieve import (Basis, PropositionSystem, ResourceLimitError, certify_sy
                         conjugate, equal_weight_basis, ghz_basis, gram_schmidt, is_projector,
                         is_unitary, named_basis, permute_system, route_basis_state, separates,
                         standard_basis, standard_system, systems, transformed_system, w_basis)
-from statesieve.bases import basis_from_unitary, combo_label, ket_label
+from statesieve.bases import NamedUnitary, basis_from_unitary, combo_label, ket_label
 
 from conftest import haar_unitary
 
@@ -46,6 +49,27 @@ RHO_SIGNS = np.array([
     [1, 1, -1, -1, 1, 1, -1, -1],
     [1, -1, 1, -1, 1, -1, 1, -1],
 ])
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# each catalog unitary is its integer table over the square roots of these column norms
+CATALOG_TABLES = {"ghz": ("_GHZ_INT", [2] * 8),
+                  "w": ("_W_INT", [1, 3, 2, 6, 3, 2, 6, 1]),
+                  "equal_weight": ("_EQUAL_WEIGHT_INT", [8] * 8)}
+# a float sum over N = 8 terms, each off by a few ulps: far looser than any rounding seen
+ROUNDING_BOUND = 64 * 8 * np.finfo(float).eps
+
+
+def exact_carried_projectors(key):
+    """The standard system carried into catalog basis `key`, in fractions: with
+    U = T / sqrt(c), projector i is U diag(d_i) U^T = T diag(d_i / c) T^T."""
+    from statesieve import bases
+    name, norms = CATALOG_TABLES[key]
+    t = getattr(bases, name).tolist()
+    return [[[sum(Fraction(t[r][j] * t[s][j] * d[j], norms[j]) for j in range(8))
+              for s in range(8)] for r in range(8)]
+            for d in systems.standard_diagonals(3).tolist()]
 
 
 class TestStandardBasis:
@@ -229,6 +253,40 @@ class TestNamedBasisLookup:
         assert len(calls) == 1
 
 
+class TestExactCatalog:
+    """Each catalog verdict has an exact rational value, read off the integer tables."""
+
+    @pytest.mark.parametrize("key", CATALOG_TABLES)
+    def test_each_table_is_orthogonal_with_its_column_norms(self, key):
+        from statesieve import bases
+        name, norms = CATALOG_TABLES[key]
+        t = getattr(bases, name).tolist()
+        gram = [[sum(Fraction(t[r][j]) * t[r][k] for r in range(8)) for k in range(8)]
+                for j in range(8)]
+        assert gram == [[norms[j] if j == k else 0 for k in range(8)] for j in range(8)]
+
+    @pytest.mark.parametrize("key", CATALOG_TABLES)
+    def test_each_carried_projector_has_trace_4_and_squares_to_itself(self, key):
+        floats = transformed_system(named_basis(key)[1], standard_system(3)).projectors
+        for p, near in zip(exact_carried_projectors(key), floats):
+            assert sum(p[r][r] for r in range(8)) == 4
+            square = [[sum(p[r][j] * p[j][s] for j in range(8)) for s in range(8)]
+                      for r in range(8)]
+            assert square == p
+            assert np.abs(near - np.array(p, dtype=float)).max() <= ROUNDING_BOUND
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("verify_*_tol?e-16.out")),
+                             ids=lambda path: path.stem)
+    def test_the_tiny_tolerance_traces_are_rounding_misses(self, path):
+        key = re.fullmatch(r"verify_(\w+)_tol\de-16", path.stem)[1]
+        exact = exact_carried_projectors(key)
+        misses = re.findall(r"projector (\d) has trace (\S+)\+0j", path.read_text())
+        assert misses
+        for i, printed in misses:
+            trace = sum(exact[int(i) - 1][r][r] for r in range(8))
+            assert trace == 4 and 0 < abs(float(printed) - trace) <= ROUNDING_BOUND
+
+
 class TestBasisInputs:
     @pytest.mark.parametrize("vectors, labels, message", [
         (np.ones(4), ["a"] * 4, "basis vectors must form a 2-d array"),
@@ -340,6 +398,16 @@ class TestLabels:
     ], ids=["square-factor", "complex", "zero", "unnormalized"])
     def test_combo_edge_cases(self, vec, label):
         assert combo_label(vec) == label
+
+    @pytest.mark.parametrize("length", [3, 5, 6, 12])
+    def test_combo_gives_up_on_a_length_that_is_no_power_of_two(self, length):
+        # no ket width fits, so no ket is drawn, not even for an equal superposition
+        assert combo_label(np.ones(length) / np.sqrt(length)) == ""
+        assert combo_label(np.eye(length)[0]) == ""
+
+    def test_a_unitary_of_no_power_of_two_size_is_labelled_by_name(self):
+        labels = basis_from_unitary(NamedUnitary("x", np.eye(3))).labels
+        assert labels == ("x_1", "x_2", "x_3")
 
     @pytest.mark.parametrize("key", ["ghz", "w", "equal_weight"])
     def test_a_unitary_labels_its_basis_with_kets_as_wide_as_its_vectors(self, key):

@@ -79,8 +79,8 @@ class TestLaneWalk:
         state[[0, 1, 5]] = [0.6, 0.48j, 0.64]
         weights = sieve._branch_weights(standard_system(4), state)
         assert any((level == 0).any() for level in weights)
-        expected = reference_walk(weights, 16, 2100, seed)
-        assert _trials.walk(weights, 16, 2100, seed) == expected
+        expected = reference_walk(weights, 2100, seed)
+        assert _trials.walk(weights, 2100, seed) == expected
         assert sum(expected[k] for k in (0, 1, 5)) == 2100
 
 

@@ -36,11 +36,11 @@ def reference_stats(n, trials, seed, infer_last):
     return sum(asked) / trials, max(asked)
 
 
-def reference_walk(weights, dim, trials, seed):
+def reference_walk(weights, trials, seed):
     """_trials.walk with a fresh np.random.default_rng(seed + t) per trial."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = [(below[0::2] / above).tolist() for above, below in zip(weights, weights[1:])]
-    counts = [0] * dim
+    counts = [0] * len(weights[-1])
     for t in range(trials):
         j = 0
         for r, yes in zip(np.random.default_rng(seed + t).random(len(ratios)).tolist(), ratios):
@@ -119,8 +119,31 @@ class TestCascade:
             system = permute_system(system, rng.permutation(64))
         state = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         state /= np.linalg.norm(state)
-        expected = reference_walk(sieve._branch_weights(system, state), 64, 2100, seed)
+        expected = reference_walk(sieve._branch_weights(system, state), 2100, seed)
         assert sample_detections(system, state, 2100, seed) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_every_read_has_one_detector_per_answer_word(self, n, dense):
+        # k propositions end in 2^k detectors, whether k is below, at or above n;
+        # at n = 2 the four stacked rows broke the walk's counts
+        rows = np.vstack([systems.standard_diagonals(n)] * 2)
+        rng = np.random.default_rng(n)
+        state = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+        state /= np.linalg.norm(state)
+        for k in (0, 1, n - 1, n, n + 2):
+            system = systems.system_from_diagonals(rows[:k])
+            if dense:
+                system = PropositionSystem(n, system.projectors)
+            assert system.size == k
+            probabilities = measure_state(system, state).probabilities
+            counts = sample_detections(system, state, 300, 11)
+            dist, both = measure_and_sample(system, state, 300, 11)
+            assert len(probabilities) == len(counts) == 2 ** k, k
+            assert len(dist.probabilities) == len(both) == 2 ** k, k
+            assert sum(counts) == 300, k
+            assert counts == both == reference_walk(sieve._branch_weights(system, state),
+                                                    300, 11), k
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_zero_state_sends_every_trial_to_the_last_detector(self, n):
