@@ -158,7 +158,11 @@ class NamedUnitary:
 
 
 def ket_label(index: int, n: int) -> str:
-    """Product-state label for 0-based position `index`: 0 bit -> '+'."""
+    """Product-state label for 0-based position `index` in 0..2^n - 1: 0 bit -> '+'."""
+    if not (_whole(n) and n >= 0):
+        raise ValueError(f"ket_label n must be an integer >= 0, got {n!r}")
+    if not (_whole(index) and index >= 0 and int(index).bit_length() <= n):
+        raise ValueError(f"ket_label index must be in 0..2^{n} - 1, got {index!r}")
     bits = format(index, f"0{n}b") if n else ""
     return "|" + bits.replace("0", "+").replace("1", "-") + ">"
 

@@ -200,7 +200,7 @@ def _cmd_enumerate(args) -> tuple[Any, int]:
 
 def _cmd_simulate(args) -> tuple[Any, int]:
     from . import jsonio
-    from .sieve import measure_and_sample, measure_state, route_basis_state, sample_detections
+    from .sieve import measure_state, route_basis_state, sample_detections
     if (args.index is None) == (args.state is None):
         raise ValueError("simulate needs exactly one of --index or --state")
     system, basis, _ = _build_system(args)
@@ -210,18 +210,14 @@ def _cmd_simulate(args) -> tuple[Any, int]:
         outcome = route_basis_state(system, basis, args.index, args.tol)
         payload: dict[str, Any] = jsonio.outcome_to_json(outcome)
         payload["state"] = basis.label(args.index)
-        if args.sample:
-            counts = sample_detections(system, basis.vector(args.index), args.sample, args.seed)
     else:
         state = _read_json(args.state, jsonio.vector_from_json)
-        if args.sample:  # one branch-weight tree for both
-            dist, counts = measure_and_sample(system, state, args.sample, args.seed, args.tol)
-        else:
-            dist = measure_state(system, state, args.tol)
-        payload = jsonio.distribution_to_json(dist)
+        payload = jsonio.distribution_to_json(measure_state(system, state, args.tol))
     if args.sample:
-        payload["sample"] = {"trials": args.sample, "seed": args.seed,
-                             "counts": counts}
+        if args.state is None:  # the basis vector, built only to be sampled
+            state = basis.vector(args.index)
+        counts = sample_detections(system, state, args.sample, args.seed)
+        payload["sample"] = {"trials": args.sample, "seed": args.seed, "counts": counts}
     return payload, EXIT_OK
 
 

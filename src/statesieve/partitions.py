@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix
+from .linalg import DEFAULT_TOL, _whole, as_matrix
 from .systems import _code_blocks
 
 if TYPE_CHECKING:
@@ -36,6 +36,9 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not (_whole(self.ground_size) and self.ground_size >= 0):
+            raise ValueError(f"ground_size must be an integer >= 0, got {self.ground_size!r}")
+        object.__setattr__(self, "ground_size", int(self.ground_size))
         canon = tuple(sorted((tuple(sorted(b)) for b in self.blocks),
                              key=lambda b: b[0] if b else -1))
         object.__setattr__(self, "blocks", canon)

@@ -4,6 +4,9 @@ and question-count benchmarks for the naive per-state strategy.
 Detectors 1..2^size of a size-proposition system follow the strictly-decreasing
 code convention: the all-ones answer word hits detector 1 and the all-zeros word
 detector 2^size, so with the standard system basis state k always fires detector k.
+The branch weights of the cascade are a read of the system's stored form
+(`_branch_weights`): a diagonal system sums its code prefixes in O(nN), and a
+dense one walks the depth-first tree of sequential projections.
 """
 
 from __future__ import annotations
@@ -59,9 +62,12 @@ class StatsSummary(NamedTuple):
 
 
 def detector_for_bits(bits: Sequence[int]) -> int:
-    """Detector index 2^len(bits) - value(bits), bits most significant first."""
+    """Detector index 2^len(bits) - value(bits), bits most significant first, each
+    equal to 0 or 1 (a bool counts as its int)."""
     value = 0
     for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"answer bits must be 0 or 1, got {b!r}")
         value = (value << 1) | int(b)
     return 2 ** len(bits) - value
 
@@ -93,45 +99,6 @@ def _as_state(system: PropositionSystem, state) -> np.ndarray:
 BRANCH_SUM_FLOOR = 1e-9
 
 
-def _branch_weights(system: PropositionSystem, state: np.ndarray) -> list[np.ndarray]:
-    """Squared norms of the filter cascade's branch vectors, one array per level.
-
-    Level i + 1 splits branch j of level i, vector v, into P_i v (branch 2j)
-    and v - P_i v (branch 2j + 1), so after n levels the leaf of answer word
-    b sits at detector(b) - 1.  The tree is walked depth-first, so at most
-    n + 1 vectors are held at once: the current one and, per level, the
-    siblings still to visit.  None is kept of the last level (only its
-    weights are read) or that weighs 0.0 (off an eigenstate's path, or
-    underflowed): every branch below one reads 0.0, so no child outweighs it.
-    """
-    levels = system.size
-    weights = [np.zeros(2 ** i) for i in range(levels + 1)]
-    weights[0][0] = np.real(np.vdot(state, state))
-    stack = [(0, 0, state)] if levels else []
-    while stack:
-        i, j, v = stack.pop()
-        yes = system.apply(i, v)
-        for k, b in ((2 * j, yes), (2 * j + 1, v - yes)):
-            weights[i + 1][k] = np.real(np.vdot(b, b))
-            if i + 1 < levels and weights[i + 1][k]:
-                stack.append((i + 1, k, b))
-    return weights
-
-
-def _measured_weights(system: PropositionSystem, state, tol: float) -> list[np.ndarray]:
-    """The branch weights of a normalized state, checked to sum to 1."""
-    v = _as_state(system, state)
-    norm = float(np.linalg.norm(v))
-    if not _within(abs(norm - 1.0), tol):
-        raise ValueError(f"state is not normalized (norm {norm:.17g})")
-    weights = _branch_weights(system, v)
-    total = float(weights[-1].sum())
-    if not _within(abs(total - 1.0), max(tol, BRANCH_SUM_FLOOR)):
-        raise ValueError(
-            f"branch weights sum to {total:.17g}; system is not certified")
-    return weights
-
-
 def _check_trials(trials: int) -> None:
     if not _whole(trials):
         raise ValueError(f"trials must be an integer, got {trials!r}")
@@ -147,13 +114,21 @@ def measure_state(system: PropositionSystem, state,
     through the k-th branch of commuting projectors/complements; for a
     common eigenvector this is a point mass on the routed detector.
     """
-    return MeasurementDistribution(tuple(_measured_weights(system, state, tol)[-1].tolist()))
+    v = _as_state(system, state)
+    norm = float(np.linalg.norm(v))
+    if not _within(abs(norm - 1.0), tol):
+        raise ValueError(f"state is not normalized (norm {norm:.17g})")
+    leaves = system._branch_weights(v)[-1]
+    total = float(leaves.sum())
+    if not _within(abs(total - 1.0), max(tol, BRANCH_SUM_FLOOR)):
+        raise ValueError(f"branch weights sum to {total:.17g}; system is not certified")
+    return MeasurementDistribution(tuple(leaves.tolist()))
 
 
 def sample_detections(system: PropositionSystem, state, trials: int, seed: int) -> list[int]:
     """Monte-Carlo counts of the 2^size detectors from sequential projective measurement.
 
-    Each trial walks the branch-weight tree: at step i the yes-branch fires
+    Each trial walks the branch weights: at step i the yes-branch fires
     with probability |P_i v|^2 / |v|^2 and the state collapses onto it.
     Reproducible for a fixed seed: trial t draws its size uniforms as
     default_rng(seed + t).random(size) would (`_trials.walk`).
@@ -161,17 +136,13 @@ def sample_detections(system: PropositionSystem, state, trials: int, seed: int) 
     v = _as_state(system, state)
     _check_trials(trials)
     from . import _trials  # on first use: commands that draw nothing never load it
-    return _trials.walk(_branch_weights(system, v), trials, seed)
+    return _trials.walk(system._branch_weights(v), trials, seed)
 
 
 def measure_and_sample(system: PropositionSystem, state, trials: int, seed: int,
                        tol: float = DEFAULT_TOL) -> tuple[MeasurementDistribution, list[int]]:
-    """measure_state and sample_detections of one state from one branch-weight tree."""
-    weights = _measured_weights(system, state, tol)
-    _check_trials(trials)
-    from . import _trials
-    return (MeasurementDistribution(tuple(weights[-1].tolist())),
-            _trials.walk(weights, trials, seed))
+    """measure_state and sample_detections of one state, checked in that order."""
+    return measure_state(system, state, tol), sample_detections(system, state, trials, seed)
 
 
 def naive_search(n: int, target_index: int, question_order: Sequence[int],

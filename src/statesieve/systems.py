@@ -4,7 +4,8 @@ The standard system implements a binary search over basis positions: the
 i-th projector keeps the first half of each remaining block.  Reading the
 stacked diagonals column-wise gives each basis position a distinct n-bit
 code word, and permuting the columns generates all N! = 2^n! equivalent
-diagonal systems.
+diagonal systems.  Each form reads the cascade's branch weights its own way:
+a diagonal system sums its code prefixes, a dense one projects branch by branch.
 """
 
 from __future__ import annotations
@@ -71,6 +72,30 @@ class PropositionSystem:
         """Projector i (0-based) applied to v."""
         return self.projectors[i] @ v
 
+    def _branch_weights(self, state: np.ndarray) -> list[np.ndarray]:
+        """Squared norms of the filter cascade's branch vectors, one array per level.
+
+        Level i + 1 splits branch j of level i, vector v, into P_i v (branch 2j)
+        and v - P_i v (branch 2j + 1), so after n levels the leaf of answer word
+        b sits at detector(b) - 1.  The tree is walked depth-first, so at most
+        n + 1 vectors are held at once: the current one and, per level, the
+        siblings still to visit.  None is kept of the last level (only its
+        weights are read) or that weighs 0.0 (off an eigenstate's path, or
+        underflowed): every branch below one reads 0.0, so no child outweighs it.
+        """
+        levels = self.size
+        weights = [np.zeros(2 ** i) for i in range(levels + 1)]
+        weights[0][0] = np.real(np.vdot(state, state))
+        stack = [(0, 0, state)] if levels else []
+        while stack:
+            i, j, v = stack.pop()
+            yes = self.apply(i, v)
+            for k, b in ((2 * j, yes), (2 * j + 1, v - yes)):
+                weights[i + 1][k] = np.real(np.vdot(b, b))
+                if i + 1 < levels and weights[i + 1][k]:
+                    stack.append((i + 1, k, b))
+        return weights
+
     def _noncommuting_pairs(self, tol: float) -> list[tuple[int, int, float]]:
         """(i, j, commutator norm) for each 1-based pair i < j that fails to commute."""
         norms = ((i + 1, j + 1, commutator_norm(self.projectors[i], self.projectors[j]))
@@ -124,6 +149,18 @@ class DiagonalSystem(PropositionSystem):
 
     def apply(self, i: int, v: np.ndarray) -> np.ndarray:
         return self.diagonals[i] * v
+
+    def _branch_weights(self, state: np.ndarray) -> list[np.ndarray]:
+        """The tree's weights read from the code prefixes: branch j of level i + 1
+        holds the |amplitude|^2 of the positions whose first i + 1 answers spell j,
+        yes as 0, each level one bincount."""
+        mass = state.real ** 2 + state.imag ** 2
+        weights = [np.array([np.real(np.vdot(state, state))])]
+        prefix = np.zeros(len(state), dtype=np.intp)
+        for i, row in enumerate(self.diagonals):
+            prefix = 2 * prefix + 1 - row
+            weights.append(np.bincount(prefix, mass, minlength=2 ** (i + 1)))
+        return weights
 
     def _noncommuting_pairs(self, tol: float) -> list[tuple[int, int, float]]:
         return []

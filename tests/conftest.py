@@ -39,7 +39,7 @@ def dyadic_complex(max_dim: int = 3):
 
 
 def every_branch_weights(system, state) -> list[np.ndarray]:
-    """The branch-weight tree of sieve._branch_weights, walking every branch, none pruned."""
+    """PropositionSystem._branch_weights's tree, walking every branch, none pruned."""
     weights = [np.zeros(2 ** i) for i in range(system.size + 1)]
     weights[0][0] = np.real(np.vdot(state, state))
 

@@ -390,6 +390,16 @@ class TestDenseOutputsKeepTheirLimit:
     def test_structured_outputs_still_run(self, capsys, argv):
         assert main(argv.split()) == 0, capsys.readouterr().err
 
+    def test_a_state_is_measured_and_sampled_past_n_10(self, capsys, tmp_path):
+        # the diagonal form sums its code prefixes; CI runs this at n = 16
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(jsonio.vector_to_json(v / np.linalg.norm(v))))
+        payload = run_json(capsys, "simulate", "--n", "12", "--force", "--state", str(path),
+                           "--sample", "50")
+        assert len(payload["detectors"]) == 4096 and sum(payload["sample"]["counts"]) == 50
+
 
 class TestStructuredCeiling:
     """verify, simulate, transform, partition and stats build (n, 2^n) arrays, so

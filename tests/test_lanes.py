@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import statesieve.sieve as sieve
 from statesieve import _trials, question_count_stats, standard_system
 from test_seeding import WORD_BOUNDARIES
 from test_trial_loops import CHUNK_CROSSING_SEEDS, reference_stats, reference_walk
@@ -77,7 +76,7 @@ class TestLaneWalk:
         # and every ratio below one is 0/0 = NaN
         state = np.zeros(16, dtype=complex)
         state[[0, 1, 5]] = [0.6, 0.48j, 0.64]
-        weights = sieve._branch_weights(standard_system(4), state)
+        weights = standard_system(4)._branch_weights(state)
         assert any((level == 0).any() for level in weights)
         expected = reference_walk(weights, 2100, seed)
         assert _trials.walk(weights, 2100, seed) == expected

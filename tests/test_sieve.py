@@ -22,6 +22,16 @@ class TestDetectorIndexing:
         # 101 as a binary number is 5, so the detector is 8 - 5 = 3
         assert detector_for_bits((1, 0, 1)) == 3
 
+    def test_bools_and_numpy_integers_count_as_bits(self):
+        assert detector_for_bits((True, False, np.int64(1), np.bool_(False))) == 16 - 10
+
+    @pytest.mark.parametrize("bit", [2, -1, 0.5, "1", None])
+    def test_an_entry_other_than_0_or_1_is_refused_naming_it(self, bit):
+        # [2] used to give detector 0, which does not exist, and [-1] detector 3
+        with pytest.raises(ValueError) as refused:
+            detector_for_bits([1, bit])
+        assert str(refused.value) == f"answer bits must be 0 or 1, got {bit!r}"
+
 
 class TestRouting:
     def test_first_and_last_states(self):

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import statesieve._trials as _trials
 import statesieve.sieve as sieve
 import statesieve.systems as systems
 from cascade_cases import cases, digest
@@ -47,6 +50,34 @@ def reference_walk(weights, trials, seed):
             j = 2 * j + (not r < yes[j])
         counts[j] += 1
     return counts
+
+
+@st.composite
+def diagonal_cases(draw):
+    """(diagonal system, state, whether its rows separate): n = 1-6 and 0 to n + 2
+    0/1 rows, either random or a permuted standard system with up to two random rows
+    among its own; a random complex, real, sparse or tiny-perturbed basis state."""
+    n = draw(st.integers(1, 6))
+    dim = 2 ** n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        extra = rng.integers(0, 2, (draw(st.integers(0, 2)), dim))
+        rows = np.vstack([systems.standard_diagonals(n)[:, rng.permutation(dim)], extra])
+        rows = rows[rng.permutation(len(rows))]
+    else:
+        rows = rng.integers(0, 2, (draw(st.integers(0, n + 2)), dim))
+    system = systems.system_from_diagonals(rows)
+    kind = draw(st.sampled_from(["complex", "real", "sparse", "tiny"]))
+    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if kind == "real":
+        state = state.real
+    elif kind == "sparse":
+        state[rng.random(dim) < 0.75] = 0
+    if kind == "tiny":  # squares near 1e-340 underflow to 0.0
+        state = np.eye(dim)[rng.integers(dim)] + 1e-170 * state
+    elif state.any():
+        state /= np.linalg.norm(state)
+    return system, sieve._as_state(system, state), systems._distinct_rows(rows.T)
 
 
 # past one chunk of seeds, and from a 1-word to a 2-word seed
@@ -119,7 +150,7 @@ class TestCascade:
             system = permute_system(system, rng.permutation(64))
         state = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         state /= np.linalg.norm(state)
-        expected = reference_walk(sieve._branch_weights(system, state), 2100, seed)
+        expected = reference_walk(system._branch_weights(state), 2100, seed)
         assert sample_detections(system, state, 2100, seed) == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -142,7 +173,7 @@ class TestCascade:
             assert len(probabilities) == len(counts) == 2 ** k, k
             assert len(dist.probabilities) == len(both) == 2 ** k, k
             assert sum(counts) == 300, k
-            assert counts == both == reference_walk(sieve._branch_weights(system, state),
+            assert counts == both == reference_walk(system._branch_weights(state),
                                                     300, 11), k
 
     @pytest.mark.parametrize("n", [1, 3, 6])
@@ -161,8 +192,8 @@ class TestCascade:
         state = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         state /= np.linalg.norm(state)
         tracemalloc.start()
-        try:
-            weights = sieve._branch_weights(system, state)
+        try:  # the dense form's tree over the diagonal form's O(N) apply: no N x N matrix
+            weights = PropositionSystem._branch_weights(system, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -186,7 +217,7 @@ class TestCascade:
                 tiny = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
                 state = eigenstate + 1e-170 * tiny
                 reference = every_branch_weights(system, state)
-                weights = sieve._branch_weights(system, state)
+                weights = system._branch_weights(state)
                 assert [w.tobytes() for w in weights] == [w.tobytes() for w in reference]
                 assert measure_state(system, state).probabilities == tuple(
                     reference[-1].tolist())
@@ -204,7 +235,7 @@ class TestCascade:
         state = np.array([1.0, 0, 0, 0] + [1.55e-162] * 4, dtype=complex)
         reference = every_branch_weights(system, state)
         assert reference[1][1] == 0.0 and reference[2][2] == 5e-324
-        weights = sieve._branch_weights(system, state)
+        weights = system._branch_weights(state)
         assert [w.tolist() for w in weights[1:]] == [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                                                      [1.0] + [0.0] * 7]
 
@@ -223,23 +254,58 @@ class TestCascade:
             measure_and_sample(system, np.eye(4)[0], 0, 1)
 
     def test_an_eigenstate_applies_projectors_only_along_its_path(self, monkeypatch):
-        applied, system = [], standard_system(8)
+        # the dense twin of the standard system: only a dense form walks the tree
+        applied, system = [], PropositionSystem(8, standard_system(8).projectors)
         apply = type(system).apply  # the method of the system's stored form
         monkeypatch.setattr(type(system), "apply",
                             lambda self, i, v: applied.append(i) or apply(self, i, v))
         measure_state(system, np.eye(256)[37])
         assert applied == list(range(8))
 
-    def test_simulate_state_with_samples_builds_one_tree(self, monkeypatch, capsys):
-        trees = []
-        build = sieve._branch_weights
-        monkeypatch.setattr(sieve, "_branch_weights",
-                            lambda *args: trees.append(1) or build(*args))
+    def test_simulate_state_with_samples_applies_no_projector(self, monkeypatch, capsys):
+        # the diagonal form reads its cascade from code prefixes, never through apply
+        applied = []
+        for form in (PropositionSystem, systems.DiagonalSystem):
+            monkeypatch.setattr(form, "apply", lambda self, i, v: applied.append(i))
         state = GOLDEN / "state.json"
         assert main(["simulate", "--n", "2", "--state", str(state),
                      "--sample", "1000", "--seed", "7"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "simulate_state.out").read_text()
-        assert len(trees) == 1
+        assert applied == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(diagonal_cases(), st.integers(0, 2 ** 40))
+    def test_the_diagonal_form_reads_the_trees_weights(self, case, seed):
+        system, state, separating = case
+        weights = system._branch_weights(state)
+        tree = PropositionSystem._branch_weights(system, state)
+        assert [w.shape for w in weights] == [w.shape for w in tree]
+        assert weights[0].tobytes() == tree[0].tobytes()
+        if separating:  # each leaf holds one position's |amplitude|^2
+            assert weights[-1].tobytes() == tree[-1].tobytes()
+        # otherwise each weight is a sum of at most N of the same squares, summed in
+        # index order here and in BLAS's order there: N rounding steps of at most
+        # eps/2 of the root each, on either side
+        bound = system.dim * np.finfo(float).eps * weights[0][0]
+        for level, reference in zip(weights, tree):
+            assert np.abs(level - reference).max() <= bound
+        # below the root, a branch sums a subset of its parent's squares in the same order
+        for above, below in zip(weights[1:], weights[2:]):
+            assert (below.reshape(-1, 2) <= above[:, np.newaxis]).all()
+        # the root is BLAS's sum, so a first-level branch may pass it by rounding alone
+        for first in weights[1:2]:
+            assert (first <= weights[0][0] + bound).all()
+        assert _trials.walk(weights, 200, seed) == _trials.walk(tree, 200, seed)
+
+    def test_the_diagonal_form_measures_and_samples_without_apply(self, monkeypatch):
+        def refuse(self, i, v):
+            raise AssertionError("projector applied")
+
+        monkeypatch.setattr(systems.DiagonalSystem, "apply", refuse)
+        for name, system, state in cases():
+            if isinstance(system, systems.DiagonalSystem):
+                assert len(measure_state(system, state).probabilities) == system.dim, name
+                assert sum(sample_detections(system, state, 50, 1)) == 50, name
 
 
 class TestBranchSumFloor:
@@ -277,7 +343,7 @@ class TestBranchSumFloor:
 
     def test_the_refused_branch_sum_is_printed_in_full(self):
         system, state = PropositionSystem(1, [np.diag([1, 1e-7])]), np.array([1, 1]) / np.sqrt(2)
-        total = float(sieve._branch_weights(system, sieve._as_state(system, state))[-1].sum())
+        total = float(system._branch_weights(sieve._as_state(system, state))[-1].sum())
         with pytest.raises(ValueError) as refused:
             measure_state(system, state)
         printed = re.fullmatch(r"branch weights sum to (\S+); system is not certified",

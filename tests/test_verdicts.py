@@ -10,7 +10,9 @@ reads answer codes from the stored form a system hands it: a form is its class, 
 module asks a basis whether it is the identity, and no class defines an `identity` or a
 `diagonals` flag to ask.  A third pins that each stored form builds its own dense
 view: only `DiagonalSystem` reads `diagonals`, and only `IdentityBasis` builds the
-identity vectors and labels (every other `labels` reads the stored ones).
+identity vectors and labels (every other `labels` reads the stored ones).  A fourth
+pins that the cascade is a read of the stored form: only the two system classes
+define `_branch_weights`, and `sieve` reads the weights through the system it is given.
 """
 
 import ast
@@ -219,6 +221,24 @@ class TestStoredForms:
         assert sorted(eyes) == ["Basis.gram_defect", "IdentityBasis.vectors"]
         assert label_builds == {("bases.py", "IdentityBasis.labels")}
         assert not hasattr(PropositionSystem, "operator")
+
+    def test_each_system_form_reads_its_own_branch_weights(self):
+        # the dense form walks the tree, the diagonal form sums its code prefixes
+        definitions, methods, reads = 0, [], []
+        for path in sorted(Path(systems.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name == "_branch_weights":
+                    definitions += 1
+                elif isinstance(node, ast.ClassDef):
+                    methods += [(path.name, node.name) for stmt in node.body
+                                if isinstance(stmt, ast.FunctionDef)
+                                and stmt.name == "_branch_weights"]
+                elif isinstance(node, ast.Attribute) and node.attr == "_branch_weights":
+                    reads.append((path.name, ast.unparse(node.value)))
+        assert methods == [("systems.py", "PropositionSystem"), ("systems.py", "DiagonalSystem")]
+        assert definitions == len(methods)
+        assert reads == [("sieve.py", "system")] * 2  # measure_state, sample_detections
+        assert not hasattr(sieve, "_measured_weights")
 
 
 class TestNanFails:

@@ -3,7 +3,8 @@ a numpy integer, never a bool, as `linalg._whole` decides.
 
 The table holds the sites that take one: a basis index (`Basis.rows`), an enumeration
 limit, a JSON `n`/`rows`/`cols` field, n itself (`systems._check_n`, which a dense
-`PropositionSystem` meets too), a naive-search target, a trial count and a Pauli site.
+`PropositionSystem` meets too), a naive-search target, a trial count, a Pauli site, a
+partition's ground size and a ket label's position and width.
 Each refuses a float or a bool with a ValueError that names the value, and reads a numpy
 integer as the Python int it equals.  The fixed catalog bases, defined at n = 3 alone,
 and `count_systems` without a limit test their n with the same predicate.
@@ -19,9 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statesieve import (PropositionSystem, count_systems, enumerate_systems, linalg,
-                        measure_and_sample, named_basis, naive_search, question_count_stats,
-                        sample_detections, standard_basis, standard_system)
+from statesieve import (Partition, PropositionSystem, count_systems, enumerate_systems,
+                        ket_label, linalg, measure_and_sample, named_basis, naive_search,
+                        question_count_stats, sample_detections, standard_basis,
+                        standard_system)
 from statesieve._trials import trial_generators
 from statesieve.bases import Basis
 from statesieve.jsonio import matrix_from_json, system_from_json, system_to_json
@@ -76,6 +78,13 @@ SITES = {
     ]),
     "paulis.embed": (2, [
         lambda site: embed("y", site, 3).tobytes(),
+    ]),
+    "partitions.Partition": (2, [
+        lambda ground: repr(Partition(ground, ((1,), (2,)))),
+    ]),
+    "bases.ket_label": (3, [
+        lambda k: ket_label(k, 3),
+        lambda n: ket_label(1, n),
     ]),
 }
 
@@ -133,6 +142,25 @@ def test_the_refusals_of_whole_numbers_keep_their_messages():
         "ValueError", "matrix field 'rows' must be an integer >= 1, got 0")
     assert outcome(lambda: named_basis("ghz", 2)) == (
         "ValueError", "basis 'ghz' is defined for n = 3, got n = 2")
+
+
+def test_a_value_out_of_its_range_is_refused_naming_it():
+    # these ended in itertools' islice error, or returned another position's label
+    assert outcome(lambda: Partition(-1, ())) == (
+        "ValueError", "ground_size must be an integer >= 0, got -1")
+    assert outcome(lambda: ket_label(-1, 3)) == (
+        "ValueError", "ket_label index must be in 0..2^3 - 1, got -1")
+    assert outcome(lambda: ket_label(8, 3)) == (
+        "ValueError", "ket_label index must be in 0..2^3 - 1, got 8")
+    assert outcome(lambda: ket_label(0, -1)) == (
+        "ValueError", "ket_label n must be an integer >= 0, got -1")
+    assert (ket_label(0, 0), ket_label(7, 3), ket_label(2 ** 70 - 1, 70)) == (
+        "|>", "|--->", "|" + "-" * 70 + ">")
+
+
+def test_a_partition_stores_its_ground_size_as_a_python_int():
+    part = Partition(np.int64(2), ((1,), (2,)))
+    assert type(part.ground_size) is int and part == Partition(2, ((2,), (1,)))
 
 
 def test_a_dense_system_stores_its_n_as_a_python_int():
